@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Value, gather_rows, repeat_rows, straight_through
 from .estimators import ConstantGraphDensity, Prior
 
@@ -212,17 +211,6 @@ def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
     return RankStatisticBatch(values=alpha, num_samples=num_samples,
                               proposal_id=pid, weight_sums=weight_sums,
                               degenerate=degenerate)
-
-
-def is_rank_statistic(posterior, theta_star, x_star, num_samples, proposal, rng,
-                      temperature=1.0, prior=None):
-    """Single-pair rank statistic as a plain float (no graph retained)."""
-    theta_star = np.asarray(theta_star, dtype=np.float64).reshape(1, -1)
-    x_star = np.asarray(x_star, dtype=np.float64).reshape(1, -1)
-    with ad.no_grad():
-        batch = rank_statistics(posterior, theta_star, x_star, num_samples,
-                                proposal, rng, temperature, prior=prior)
-    return float(batch.values.data[0, 0])
 
 
 def _alpha_column(batch):

@@ -1,10 +1,11 @@
 """Post-hoc coverage diagnostics, independent of training-time machinery.
 
-Expected coverage is estimated two ways: from rank statistics (the ECDF of
-alpha at 1 - level) and from explicit highest-density regions found by
-density-threshold search on a grid. Both estimate the same quantity and are
-kept separate on purpose so one can audit the other. Evaluation always uses
-hard indicators and fresh RNG streams.
+Expected coverage is estimated two ways, each from one statistic per test
+pair: the rank statistic (covered at level l when alpha >= 1 - l) and the
+grid mass denser than the nominal parameter's cell (covered when it is
+below l). Both estimate the same quantity and are kept separate on purpose
+so one can audit the other. Evaluation always uses hard indicators and
+fresh RNG streams.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import covreg
-from .problems import _grid_axes
+from .problems import grid_layout
 
 DEFAULT_EVAL_LEVELS = tuple(np.linspace(0.05, 0.95, 19).tolist())
 DEFAULT_EVAL_SAMPLES = 1024
@@ -100,88 +101,49 @@ def curve_from_rank_statistics(alphas, levels, num_samples=None):
     return CoverageCurve(levels, ecp, alphas.size, "rank-based", num_samples)
 
 
-def ecp_rank_based(posterior, thetas, xs, levels=DEFAULT_EVAL_LEVELS,
-                   num_samples=DEFAULT_EVAL_SAMPLES, proposal=None, rng=None,
-                   prior=None, chunk=None):
-    proposal = covreg.resolve_proposal(proposal if proposal is not None else "prior",
-                                       prior)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    alphas = rank_statistic_sample(posterior, thetas, xs, num_samples,
-                                   proposal, rng, chunk)
-    return curve_from_rank_statistics(alphas, levels, num_samples)
-
-
-def _paired_log_density(posterior, thetas, xs):
-    if hasattr(posterior, "embed") and hasattr(posterior, "log_density_from_embedding"):
-        return posterior.log_density_from_embedding(thetas, posterior.embed(xs))
-    return posterior.log_density(thetas, xs)
-
-
 def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
-                  resolution=DEFAULT_GRID_RESOLUTION, chunk=8):
+                  resolution=DEFAULT_GRID_RESOLUTION, chunk=None):
     """ECP via explicit highest-density regions on a parameter grid.
 
-    Per test pair the posterior is normalized over the grid, the smallest
-    density threshold whose super-level set holds at least the target mass is
-    located, and membership of the nominal parameter's cell is recorded.
-    Reserved for dim_theta <= 2.
+    Per test pair the posterior is normalized over the grid and reduced to
+    one statistic: the mass of the cells strictly denser than the nominal
+    parameter's cell, or 1 when the parameter lies off the grid. The
+    highest-density region at level l holds the nominal cell exactly when
+    that mass is below l. The posterior supplies `log_density_grid`, or
+    `embed` and `log_density_from_embedding`, in which case each
+    observation is embedded once. The chunk of pairs per slice defaults to
+    about 2M grid rows on the first path and 256k on the second, whose rows
+    carry the model's hidden activations. Reserved for dim_theta <= 2.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if thetas.shape[0] == 0:
         raise ValueError("empty test set")
-    dim = thetas.shape[1]
-    if dim > 2:
+    if thetas.shape[1] > 2:
         raise ValueError("grid-hpdr coverage supports dim_theta <= 2 only")
     levels = np.asarray(levels, dtype=np.float64)
-    bounds = _grid_axes(problem)
-    res = resolution
-    centers, steps = [], []
-    for lo, hi in bounds:
-        step = (hi - lo) / res
-        steps.append(step)
-        centers.append(lo + step * (np.arange(res) + 0.5))
-    if dim == 1:
-        grid = centers[0].reshape(-1, 1)
-    else:
-        a, b = np.meshgrid(centers[0], centers[1], indexing="ij")
-        grid = np.stack([a.ravel(), b.ravel()], axis=1)
-    n_cells = grid.shape[0]
-
-    hits = np.zeros(levels.size)
+    layout = grid_layout(problem, resolution)
+    grid = layout.points
+    cells, inside = layout.cell_index(thetas)
+    closed_form = hasattr(posterior, "log_density_grid")
+    if chunk is None:
+        chunk = max(1, (2 ** 21 if closed_form else 2 ** 18) // grid.shape[0])
     n = thetas.shape[0]
-    for lo_i in range(0, n, chunk):
-        hi_i = min(lo_i + chunk, n)
-        m = hi_i - lo_i
-        if hasattr(posterior, "log_density_grid"):
-            ld = posterior.log_density_grid(grid, xs[lo_i:hi_i])
+    denser = np.ones(n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        if closed_form:
+            ld = posterior.log_density_grid(grid, xs[lo:hi])
         else:
-            tiled_x = np.repeat(xs[lo_i:hi_i], n_cells, axis=0)
-            tiled_grid = np.tile(grid, (m, 1))
-            ld = _paired_log_density(posterior, tiled_grid, tiled_x).reshape(m, n_cells)
-        # nominal cell index per pair
-        cell_ld = np.full(m, -np.inf)
-        idx = np.zeros(m, dtype=np.intp)
-        ok = np.ones(m, dtype=bool)
-        for d in range(dim):
-            lo_d, hi_d = bounds[d]
-            c = np.floor((thetas[lo_i:hi_i, d] - lo_d) / steps[d]).astype(np.intp)
-            ok &= (c >= 0) & (c < res)
-            c = np.clip(c, 0, res - 1)
-            idx = idx * res + c if dim == 2 else c
-        cell_ld[ok] = ld[np.arange(m), idx][ok]
-
-        sorted_ld = np.sort(ld, axis=1)[:, ::-1]
-        rel = np.exp(sorted_ld - sorted_ld[:, :1])
-        cmass = np.cumsum(rel, axis=1)
-        cmass /= cmass[:, -1:]
-        for k, level in enumerate(levels):
-            pos = np.minimum(
-                np.array([np.searchsorted(cmass[i], level, side="left")
-                          for i in range(m)]), n_cells - 1)
-            thresholds = sorted_ld[np.arange(m), pos]
-            hits[k] += np.sum(cell_ld >= thresholds)
-    return CoverageCurve(levels, hits / n, n, "grid-hpdr")
+            emb = np.repeat(posterior.embed(xs[lo:hi]), grid.shape[0], axis=0)
+            ld = posterior.log_density_from_embedding(
+                np.tile(grid, (hi - lo, 1)), emb).reshape(hi - lo, -1)
+        rel = np.exp(ld - ld.max(axis=1, keepdims=True))
+        nominal = ld[np.arange(hi - lo), cells[lo:hi], None]
+        denser[lo:hi] = rel.sum(axis=1, where=ld > nominal) / rel.sum(axis=1)
+    denser[~inside] = 1.0
+    ecp = np.mean(denser < levels[:, None], axis=1)
+    return CoverageCurve(levels, ecp, n, "grid-hpdr")
 
 
 def coverage_auc(curve):
@@ -225,7 +187,7 @@ def expected_log_posterior(posterior, thetas, xs, prior=None):
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    ld = _paired_log_density(posterior, thetas, xs)
+    ld = posterior.log_density(thetas, xs)
     bad = ~np.isfinite(ld)
     value = float(np.mean(ld[~bad])) if np.any(~bad) else -math.inf
     baseline = None

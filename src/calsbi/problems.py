@@ -14,7 +14,7 @@ Problems:
                    for the coverage-intuition demo; no simulator.
 """
 
-import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -149,23 +149,47 @@ class Dataset:
                 f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+class BoundedReader:
+    """Cursor over a whole binary file; every short read raises ValueError.
+
+    Shared by the dataset and checkpoint formats, so a file cut at any
+    offset fails with a message naming the file instead of a struct error.
+    """
+
+    def __init__(self, path, kind):
+        with open(path, "rb") as f:
+            self.data = f.read()
+        self.path = path
+        self.kind = kind
+        self.offset = 0
+
+    def take(self, n):
+        if self.offset + n > len(self.data):
+            raise ValueError(f"{self.path}: truncated {self.kind}")
+        out = self.data[self.offset:self.offset + n]
+        self.offset += n
+        return out
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def finish(self):
+        if self.offset != len(self.data):
+            raise ValueError(f"{self.path}: trailing bytes after the {self.kind}")
+
+
 def load_dataset(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != FILE_MAGIC:
+    r = BoundedReader(path, "dataset file")
+    if r.take(4) != FILE_MAGIC:
         raise ValueError(f"{path}: not a dataset file (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
+    (version,) = r.unpack("<I")
     if version != FILE_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {version}")
-    (pid_len,) = struct.unpack("<I", buf.read(4))
-    pid = buf.read(pid_len).decode()
-    seed, count, dim_theta, dim_x = struct.unpack("<QQII", buf.read(24))
-    payload = buf.read()
-    expected = count * (dim_theta + dim_x) * 8
-    if len(payload) != expected:
-        raise ValueError(f"{path}: truncated payload "
-                         f"({len(payload)} bytes, expected {expected})")
+    (pid_len,) = r.unpack("<I")
+    pid = r.take(pid_len).decode()
+    seed, count, dim_theta, dim_x = r.unpack("<QQII")
+    payload = r.take(count * (dim_theta + dim_x) * 8)
+    r.finish()
     rows = np.frombuffer(payload, dtype="<f8").reshape(count, dim_theta + dim_x)
     rows = rows.astype(np.float64)
     return Dataset(pid, seed, dim_theta, dim_x,
@@ -195,16 +219,49 @@ def analytic_posterior(problem, scale_factor=1.0):
                                    scale_factor=scale_factor)
 
 
-def _grid_axes(problem):
-    axes = []
+@dataclass
+class GridLayout:
+    """Regular cell-centred grid over a problem's parameter box (dim <= 2).
+
+    `points` lists the cell centres flattened in ij order (the first
+    dimension varies slowest); `cell_index` maps parameters onto that same
+    flat order.
+    """
+
+    bounds: list         # (lo, hi) per dimension
+    resolution: int
+    centers: list        # cell centres per dimension
+    points: np.ndarray   # (resolution ** dim, dim)
+
+    @property
+    def shape(self):
+        return (self.resolution,) * len(self.bounds)
+
+    def cell_index(self, thetas):
+        """Flat index of the cell holding each row, and whether it is on the grid."""
+        cells = []
+        inside = np.ones(thetas.shape[0], dtype=bool)
+        for d, (lo, hi) in enumerate(self.bounds):
+            c = np.floor((thetas[:, d] - lo) / ((hi - lo) / self.resolution)).astype(np.intp)
+            inside &= (c >= 0) & (c < self.resolution)
+            cells.append(np.clip(c, 0, self.resolution - 1))
+        return np.ravel_multi_index(cells, self.shape), inside
+
+
+def grid_layout(problem, resolution):
+    """The prior box (or +-8 prior scales) split into `resolution` cells per dim."""
+    bounds = []
     for d in range(problem.dim_theta):
         if problem.prior.kind == "uniform-box":
-            lo, hi = problem.prior.low[d], problem.prior.high[d]
+            bounds.append((problem.prior.low[d], problem.prior.high[d]))
         else:
-            lo = problem.prior.mean[d] - 8.0 * problem.prior.scale[d]
-            hi = problem.prior.mean[d] + 8.0 * problem.prior.scale[d]
-        axes.append((lo, hi))
-    return axes
+            mean, scale = problem.prior.mean[d], problem.prior.scale[d]
+            bounds.append((mean - 8.0 * scale, mean + 8.0 * scale))
+    centers = [lo + (hi - lo) / resolution * (np.arange(resolution) + 0.5)
+               for lo, hi in bounds]
+    points = np.stack([c.ravel() for c in np.meshgrid(*centers, indexing="ij")],
+                      axis=1)
+    return GridLayout(bounds, resolution, centers, points)
 
 
 @dataclass
@@ -289,29 +346,17 @@ def grid_posterior(problem, x, resolution=512):
         raise ValueError("grid posterior supports dim_theta <= 2 only")
     if resolution < 16:
         raise ValueError(f"grid resolution must be >= 16 per dim, got {resolution}")
-    bounds = _grid_axes(problem)
-    centers = []
-    for lo, hi in bounds:
-        step = (hi - lo) / resolution
-        centers.append(lo + step * (np.arange(resolution) + 0.5))
-    if problem.dim_theta == 1:
-        grid_theta = centers[0].reshape(-1, 1)
-        shape = (resolution,)
-    else:
-        tt0, tt1 = np.meshgrid(centers[0], centers[1], indexing="ij")
-        grid_theta = np.stack([tt0.ravel(), tt1.ravel()], axis=1)
-        shape = (resolution, resolution)
-    log_un = problem.prior.log_density(grid_theta) + problem.log_likelihood(x, grid_theta)
-    log_un = log_un.reshape(shape)
+    layout = grid_layout(problem, resolution)
+    log_un = (problem.prior.log_density(layout.points)
+              + problem.log_likelihood(x, layout.points)).reshape(layout.shape)
     peak = np.max(log_un)
     rel = np.exp(log_un - peak)
     total = np.sum(rel)
     masses = rel / total
-    vol = 1.0
-    for lo, hi in bounds:
-        vol *= (hi - lo) / resolution
+    vol = math.prod((hi - lo) / resolution for lo, hi in layout.bounds)
     log_dens = log_un - (peak + np.log(total) + np.log(vol))
-    return GridOracle(bounds=bounds, resolution=resolution, centers=centers,
+    return GridOracle(bounds=layout.bounds, resolution=resolution,
+                      centers=layout.centers,
                       log_dens=log_dens, masses=masses,
                       x=np.asarray(x, dtype=np.float64))
 

@@ -20,6 +20,7 @@ from . import covreg
 from .autodiff import Value
 from .estimators import Prior, build_model
 from .optim import AdamW, clip_grad_norm
+from .problems import BoundedReader
 
 CHECKPOINT_MAGIC = b"CALC"
 CHECKPOINT_VERSION = 1
@@ -299,48 +300,46 @@ def save_checkpoint(path, model, config, prior):
 
 def load_checkpoint(path):
     """Rebuild the model with bit-identical parameters; returns (model, blob)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise ValueError(f"{path}: truncated checkpoint")
-        out = data[off:off + n]
-        off += n
-        return out
-
-    if take(4) != CHECKPOINT_MAGIC:
+    r = BoundedReader(path, "checkpoint")
+    if r.take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
+    (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (mlen,) = struct.unpack("<I", take(4))
-    method = take(mlen).decode()
-    (blen,) = struct.unpack("<I", take(4))
-    blob = json.loads(take(blen).decode())
+    (mlen,) = r.unpack("<I")
+    method = r.take(mlen).decode()
+    (blen,) = r.unpack("<I")
+    blob = json.loads(r.take(blen).decode())
+    if blob["train"].get("method") != method:
+        raise ValueError(f"{path}: method tag {method!r} disagrees with the "
+                         f"config's {blob['train'].get('method')!r}")
     prior = _prior_from_spec(blob["prior"])
     arch = {k: blob["train"][k] for k in ("hidden", "embed_dim", "blocks")
             if k in blob["train"]}
     model = build_model(method, prior, blob["dim_x"], arch,
                         rng=np.random.default_rng(0))
     params = model.parameters()
-    (n_params,) = struct.unpack("<I", take(4))
+    (n_params,) = r.unpack("<I")
     if n_params != len(params):
         raise ValueError(f"{path}: parameter count mismatch")
+    seen = set()
     for _ in range(n_params):
-        (nlen,) = struct.unpack("<I", take(4))
-        name = take(nlen).decode()
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        (nlen,) = r.unpack("<I")
+        name = r.take(nlen).decode()
+        (ndim,) = r.unpack("<I")
+        shape = r.unpack(f"<{ndim}I")
         count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
+        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
         if name not in params:
             raise ValueError(f"{path}: unknown parameter {name!r}")
+        if name in seen:
+            raise ValueError(f"{path}: duplicate parameter {name!r}")
+        if shape != params[name].data.shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {shape}, "
+                             f"expected {params[name].data.shape}")
+        seen.add(name)
         params[name].data[...] = arr
-    if off != len(data):
-        raise ValueError(f"{path}: trailing bytes after parameters")
+    r.finish()
     return model, blob
 
 

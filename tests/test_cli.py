@@ -134,6 +134,23 @@ def test_eval_missing_checkpoint_exits_two(data_file, tmp_path):
     assert code == 2
 
 
+def test_eval_truncated_inputs_exit_two(data_file, run_dir, tmp_path, capsys):
+    raw = open(data_file, "rb").read()
+    cut_data = tmp_path / "cut.sbid"
+    cut_data.write_bytes(raw[:20])
+    code = run(["eval", "--oracle", "--data", str(cut_data),
+                "--out-dir", str(tmp_path / "e")])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+    raw = open(os.path.join(run_dir, "model.calc"), "rb").read()
+    cut_model = tmp_path / "cut.calc"
+    cut_model.write_bytes(raw[:len(raw) // 2])
+    code = run(["eval", "--checkpoint", str(cut_model), "--data", data_file,
+                "--out-dir", str(tmp_path / "e")])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_eval_oracle_unsupported_problem(tmp_path, capsys):
     data = tmp_path / "nl.sbid"
     run(["simulate", "--problem", "nonlinear-2d", "--n", "32", "--out", str(data)])

@@ -6,10 +6,10 @@ import pytest
 from calsbi import autodiff as ad
 from calsbi import covreg
 from calsbi.autodiff import Value
-from calsbi.covreg import (RegConfig, direct_loss, is_rank_statistic,
-                           rank_statistic_core, rank_statistic_quotient,
+from calsbi.covreg import (RegConfig, direct_loss, rank_statistic_core, rank_statistic_quotient,
                            rank_statistics, regularizer, sorting_loss,
                            ste_indicator)
+from calsbi.diagnostics import rank_statistic_sample
 from calsbi.estimators import GaussianLinearPosterior, Prior, PriorPosterior
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
@@ -54,22 +54,22 @@ class StdNormal1D:
 
 def test_alpha_is_one_when_target_density_dominates():
     prop = Prior.uniform_box([-3.0], [3.0])
-    a = is_rank_statistic(QuadraticDensity(), [0.0], [0.0], 64, prop,
-                          np.random.default_rng(0))
+    (a,) = rank_statistic_sample(QuadraticDensity(), [[0.0]], [[0.0]], 64, prop,
+                                 np.random.default_rng(0))
     assert a == 1.0
 
 
 def test_alpha_is_zero_when_target_density_is_smallest():
     prop = Prior.uniform_box([-3.0], [3.0])
-    a = is_rank_statistic(QuadraticDensity(), [10.0], [0.0], 64, prop,
-                          np.random.default_rng(0))
+    (a,) = rank_statistic_sample(QuadraticDensity(), [[10.0]], [[0.0]], 64, prop,
+                                 np.random.default_rng(0))
     assert a == 0.0
 
 
 def test_alpha_matches_analytic_tail_mass_for_standard_normal():
     prop = Prior.uniform_box([-6.0], [6.0])
-    a = is_rank_statistic(StdNormal1D(), [1.0], [0.0], 100_000, prop,
-                          np.random.default_rng(0))
+    (a,) = rank_statistic_sample(StdNormal1D(), [[1.0]], [[0.0]], 100_000, prop,
+                                 np.random.default_rng(0))
     expected = 2.0 * (1.0 - phi(1.0))  # mass where density is below density(1)
     assert a == pytest.approx(expected, abs=0.01)
 
@@ -123,10 +123,10 @@ def test_full_pipeline_scale_invariance_to_double_precision():
     prop = Prior.uniform_box([-6.0], [6.0])
     base = StdNormal1D()
     for log_c in (-300.0, -7.3, 11.1, 250.0):
-        a0 = is_rank_statistic(base, [0.7], [0.0], 256, prop,
-                               np.random.default_rng(5))
-        a1 = is_rank_statistic(Scaled(base, log_c), [0.7], [0.0], 256, prop,
-                               np.random.default_rng(5))
+        (a0,) = rank_statistic_sample(base, [[0.7]], [[0.0]], 256, prop,
+                                      np.random.default_rng(5))
+        (a1,) = rank_statistic_sample(Scaled(base, log_c), [[0.7]], [[0.0]], 256,
+                                      prop, np.random.default_rng(5))
         assert a1 == pytest.approx(a0, abs=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_forward_value_independent_of_temperature():
 def test_uniform_convergence_in_sample_count():
     # proposal == posterior == oracle: rank statistics approach uniformity as
     # the per-pair sample count grows
-    from calsbi.diagnostics import ks_statistic, rank_statistic_sample
+    from calsbi.diagnostics import ks_statistic
 
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from calsbi import covreg
-from calsbi.diagnostics import (CoverageCurve, calibration_error,
-                                conservativeness_error, coverage_auc,
-                                curve_from_rank_statistics, ecp_grid_hpdr,
-                                ecp_rank_based, expected_log_posterior,
+from calsbi.diagnostics import (DEFAULT_EVAL_LEVELS, CoverageCurve,
+                                calibration_error, conservativeness_error,
+                                coverage_auc, curve_from_rank_statistics,
+                                ecp_grid_hpdr, expected_log_posterior,
                                 hpdr_intervals_1d, ks_statistic, mixture_demo,
                                 rank_statistic_sample, sbc_histogram,
                                 write_coverage_csv, write_metrics_csv,
                                 write_sbc_csv)
 from calsbi.estimators import Prior, PriorPosterior
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
+from calsbi.trainer import TrainConfig, train
 
 
 def phi(z):
@@ -36,9 +37,10 @@ def test_rank_based_ecp_on_oracle_close_to_diagonal():
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)
     ds = simulate_dataset(problem, 2000, seed=31)
-    curve = ecp_rank_based(oracle, ds.thetas, ds.xs, num_samples=512,
-                           rng=np.random.default_rng(1), prior=problem.prior,
-                           chunk=256)
+    alphas = rank_statistic_sample(oracle, ds.thetas, ds.xs, 512,
+                                   covreg.PriorProposal(problem.prior),
+                                   np.random.default_rng(1), chunk=256)
+    curve = curve_from_rank_statistics(alphas, DEFAULT_EVAL_LEVELS, 512)
     assert np.max(np.abs(curve.ecp - curve.levels)) <= 0.03
     assert np.all(np.diff(curve.ecp) >= 0)  # monotone in the level
 
@@ -46,9 +48,10 @@ def test_rank_based_ecp_on_oracle_close_to_diagonal():
 def test_prior_as_posterior_is_calibrated():
     problem = get_problem("gaussian-linear")
     ds = simulate_dataset(problem, 2000, seed=32)
-    curve = ecp_rank_based(PriorPosterior(problem.prior), ds.thetas, ds.xs,
-                           num_samples=512, rng=np.random.default_rng(2),
-                           prior=problem.prior, chunk=256)
+    alphas = rank_statistic_sample(PriorPosterior(problem.prior), ds.thetas,
+                                   ds.xs, 512, covreg.PriorProposal(problem.prior),
+                                   np.random.default_rng(2), chunk=256)
+    curve = curve_from_rank_statistics(alphas, DEFAULT_EVAL_LEVELS, 512)
     assert np.max(np.abs(curve.ecp - curve.levels)) <= 0.03
 
 
@@ -82,12 +85,132 @@ def test_grid_and_rank_estimators_agree_on_oracle():
     oracle = analytic_posterior(problem)
     ds = simulate_dataset(problem, 400, seed=34)
     levels = np.linspace(0.05, 0.95, 19)
-    rank = ecp_rank_based(oracle, ds.thetas, ds.xs, levels=levels,
-                          num_samples=512, rng=np.random.default_rng(3),
-                          prior=problem.prior, chunk=128)
+    alphas = rank_statistic_sample(oracle, ds.thetas, ds.xs, 512,
+                                   covreg.PriorProposal(problem.prior),
+                                   np.random.default_rng(3), chunk=128)
+    rank = curve_from_rank_statistics(alphas, levels, 512)
     grid = ecp_grid_hpdr(oracle, ds.thetas, ds.xs, problem, levels=levels,
                          resolution=128)
     assert np.max(np.abs(rank.ecp - grid.ecp)) <= 0.05
+
+
+def reference_grid_ecp(posterior, thetas, xs, problem, levels, resolution):
+    """Grid-HPDR ECP by explicit threshold search: per pair, sort the cell
+    densities, accumulate normalized mass, find each level's threshold and
+    test the nominal cell against it."""
+    if problem.prior.kind == "uniform-box":
+        bounds = list(zip(problem.prior.low, problem.prior.high))
+    else:
+        bounds = [(m - 8.0 * s, m + 8.0 * s)
+                  for m, s in zip(problem.prior.mean, problem.prior.scale)]
+    steps = [(hi - lo) / resolution for lo, hi in bounds]
+    centers = [lo + st * (np.arange(resolution) + 0.5)
+               for (lo, _), st in zip(bounds, steps)]
+    grid = np.stack([c.ravel() for c in np.meshgrid(*centers, indexing="ij")],
+                    axis=1)
+    hits = np.zeros(len(levels))
+    for theta, x in zip(thetas, xs):
+        if hasattr(posterior, "log_density_grid"):
+            ld = posterior.log_density_grid(grid, x[None, :])[0]
+        else:
+            ld = posterior.log_density(grid, np.repeat(x[None, :], len(grid), axis=0))
+        cell = np.floor((theta - [lo for lo, _ in bounds]) / steps).astype(int)
+        if np.any((cell < 0) | (cell >= resolution)):
+            cell_ld = -np.inf
+        else:
+            cell_ld = ld[np.ravel_multi_index(tuple(cell), (resolution,) * len(cell))]
+        sorted_ld = np.sort(ld)[::-1]
+        cmass = np.cumsum(np.exp(sorted_ld - sorted_ld[0]))
+        cmass /= cmass[-1]
+        for k, level in enumerate(levels):
+            pos = min(np.searchsorted(cmass, level, side="left"), len(ld) - 1)
+            hits[k] += cell_ld >= sorted_ld[pos]
+    return hits / len(thetas)
+
+
+@pytest.fixture(scope="module")
+def nonlinear_models():
+    """A briefly trained ratio model and flow on nonlinear-2d."""
+    ds = simulate_dataset("nonlinear-2d", 512, seed=36)
+    models = {}
+    for method in ("nre", "npe"):
+        config = TrainConfig(method=method, problem_id="nonlinear-2d", epochs=3,
+                             batch_size=64, seed=2, reg=None, hidden=16)
+        models[method] = train(config, ds).model
+    return models
+
+
+LEVELS = np.linspace(0.05, 0.95, 19)
+
+
+@pytest.mark.parametrize("dim,resolution", [(1, 512), (2, 64), (2, 128)])
+def test_grid_hpdr_matches_threshold_search_on_oracle(dim, resolution):
+    problem = get_problem("gaussian-linear", dim=dim)
+    oracle = analytic_posterior(problem)
+    ds = simulate_dataset(problem, 300, seed=37)
+    curve = ecp_grid_hpdr(oracle, ds.thetas, ds.xs, problem, levels=LEVELS,
+                          resolution=resolution)
+    expected = reference_grid_ecp(oracle, ds.thetas, ds.xs, problem, LEVELS,
+                                  resolution)
+    np.testing.assert_array_equal(curve.ecp, expected)
+
+
+@pytest.mark.parametrize("method", ["nre", "npe"])
+def test_grid_hpdr_matches_threshold_search_on_trained_models(nonlinear_models,
+                                                              method):
+    problem = get_problem("nonlinear-2d")
+    model = nonlinear_models[method]
+    ds = simulate_dataset(problem, 24, seed=38)
+    model.counters.reset()
+    curve = ecp_grid_hpdr(model, ds.thetas, ds.xs, problem, levels=LEVELS,
+                          resolution=64)
+    assert model.counters.embed_rows == ds.count   # one embedding per pair
+    expected = reference_grid_ecp(model, ds.thetas, ds.xs, problem, LEVELS, 64)
+    np.testing.assert_array_equal(curve.ecp, expected)
+    assert 0.0 < curve.ecp[-1]
+
+
+def test_grid_hpdr_never_covers_a_parameter_off_the_grid():
+    problem = get_problem("gaussian-linear")
+    oracle = analytic_posterior(problem)
+    ds = simulate_dataset(problem, 40, seed=39)
+    thetas, xs = ds.thetas.copy(), ds.xs.copy()
+    # the grid spans +-8 prior scales; the posterior mode (0.8 x) is put
+    # at the edge cell nearest to the off-grid parameter
+    thetas[::2, 0], xs[::2, 0] = 9.0, 7.9 / 0.8
+    thetas[1::4, 1], xs[1::4, 1] = -8.5, -7.9 / 0.8
+    off = np.zeros(len(thetas), dtype=bool)
+    off[::2] = off[1::4] = True
+    curve = ecp_grid_hpdr(oracle, thetas, xs, problem, levels=LEVELS,
+                          resolution=64)
+    expected = reference_grid_ecp(oracle, thetas, xs, problem, LEVELS, 64)
+    np.testing.assert_array_equal(curve.ecp, expected)
+    assert np.all(curve.ecp <= 1.0 - off.mean())
+    alone = ecp_grid_hpdr(oracle, thetas[off], xs[off], problem,
+                          levels=[0.05, 0.5, 0.999], resolution=64)
+    np.testing.assert_array_equal(alone.ecp, 0.0)
+
+
+@pytest.mark.parametrize("which", ["oracle", "npe"])
+def test_coverage_statistics_do_not_depend_on_chunk_size(nonlinear_models, which):
+    if which == "oracle":
+        problem = get_problem("gaussian-linear")
+        posterior = analytic_posterior(problem)
+    else:
+        problem = get_problem("nonlinear-2d")
+        posterior = nonlinear_models["npe"]
+    ds = simulate_dataset(problem, 30, seed=40)
+    proposal = covreg.PriorProposal(problem.prior)
+    alphas = [rank_statistic_sample(posterior, ds.thetas, ds.xs, 64, proposal,
+                                    np.random.default_rng(6), chunk=chunk)
+              for chunk in (1, 7, None)]
+    grids = [ecp_grid_hpdr(posterior, ds.thetas, ds.xs, problem, levels=LEVELS,
+                           resolution=64, **kw).ecp
+             for kw in ({"chunk": 1}, {"chunk": 7}, {})]
+    for a in alphas[1:]:
+        np.testing.assert_allclose(a, alphas[0], rtol=0, atol=1e-12)
+    for g in grids[1:]:
+        np.testing.assert_allclose(g, grids[0], rtol=0, atol=1e-12)
 
 
 def test_hpdr_interval_of_standard_normal_is_central():

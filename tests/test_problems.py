@@ -72,6 +72,21 @@ def test_dataset_file_rejects_bad_magic_and_truncation(tmp_path):
         load_dataset(trunc)
 
 
+def test_dataset_file_cut_at_every_offset_is_rejected(tmp_path):
+    ds = simulate_dataset("gaussian-linear", 8, seed=2)
+    path = tmp_path / "d.sbid"
+    ds.save(path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.sbid"
+    for end in range(len(raw)):
+        cut.write_bytes(raw[:end])
+        with pytest.raises(ValueError):
+            load_dataset(cut)
+    cut.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        load_dataset(cut)
+
+
 def test_csv_export_has_header_and_rows(tmp_path):
     ds = simulate_dataset("gaussian-linear", 8, seed=5)
     path = tmp_path / "d.csv"

@@ -5,7 +5,7 @@ import pytest
 
 from calsbi import covreg, trainer
 from calsbi.autodiff import Value
-from calsbi.estimators import NpeFlow, NreModel, Prior
+from calsbi.estimators import NpeFlow, NreModel, Prior, build_model
 from calsbi.problems import get_problem, simulate_dataset
 from calsbi.trainer import (TrainAbort, TrainConfig, derangement,
                             load_checkpoint, measure_step_overhead,
@@ -206,6 +206,59 @@ def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path, gl_dataset):
     trunc.write_bytes(raw[:-4])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(trunc)
+
+
+def tiny_checkpoint(path, method="nre", config_method=None):
+    """Save a freshly initialized small model; returns the model."""
+    prior = get_problem("gaussian-linear").prior
+    config = small_config(method=config_method or method, hidden=4, embed_dim=2)
+    model = build_model(method, prior, 2, config.arch(),
+                        rng=np.random.default_rng(0))
+    save_checkpoint(path, model, config, prior)
+    return model
+
+
+def test_checkpoint_cut_at_every_offset_is_rejected(tmp_path):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.calc"
+    for end in range(len(raw)):
+        cut.write_bytes(raw[:end])
+        with pytest.raises(ValueError):
+            load_checkpoint(cut)
+    cut.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(cut)
+
+
+def test_checkpoint_rejects_parameter_of_wrong_shape(tmp_path):
+    path = tmp_path / "model.calc"
+    prior = get_problem("gaussian-linear").prior
+    config = small_config(method="nre", hidden=4, embed_dim=2)
+    model = build_model("nre", prior, 2, config.arch(),
+                        rng=np.random.default_rng(0))
+    model.x_net.params["x_net.w0"].data = np.full((1, 1), 7.0)
+    save_checkpoint(path, model, config, prior)
+    with pytest.raises(ValueError, match="shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_duplicate_parameter(tmp_path):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path)
+    raw = path.read_bytes()
+    assert raw.count(b"x_net.b1") == 1     # b0 and b1 share their shape
+    path.write_bytes(raw.replace(b"x_net.b1", b"x_net.b0"))
+    with pytest.raises(ValueError, match="duplicate"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_method_tag_disagreeing_with_config(tmp_path):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path, method="npe", config_method="nre")
+    with pytest.raises(ValueError, match="method"):
+        load_checkpoint(path)
 
 
 def test_loaded_model_reproduces_expected_log_density(tmp_path, gl_dataset):
