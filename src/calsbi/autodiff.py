@@ -2,8 +2,9 @@
 
 A dynamic computation graph of `Value` nodes, rebuilt on every evaluation.
 Arrays are numpy float64 throughout; gradients accumulate additively, so
-calling backward twice without resetting doubles them. Comparison ops
-produce plain 0/1 masks and never carry gradient.
+calling backward twice without resetting doubles them. Backward closures
+build no gradient for operands that do not require one (data, shifts,
+targets), and `dense` fuses a layer's matmul, bias and SELU into one node.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ import numpy as np
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
+_SELU_SLOPE_AT_ZERO = SELU_LAMBDA * SELU_ALPHA     # d selu / dz as z -> 0-
 
 
 class ShapeError(ValueError):
@@ -43,6 +45,8 @@ def _as_array(data):
 
 def _unbroadcast(grad, shape):
     """Reduce a broadcasted gradient back to the original operand shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, dim in enumerate(shape):
@@ -150,8 +154,14 @@ class Value:
         other = self._coerce(other)
         a, b = self, other
         out = Value._elementwise("add", a, b, np.add)
-        return Value._node(out, (a, b), "add",
-                           lambda g: (a._accum(g), b._accum(g)))
+
+        def backward(g):
+            if a.requires_grad:
+                a._accum(g)
+            if b.requires_grad:
+                b._accum(g)
+
+        return Value._node(out, (a, b), "add", backward)
 
     __radd__ = __add__
 
@@ -163,8 +173,14 @@ class Value:
         other = self._coerce(other)
         a, b = self, other
         out = Value._elementwise("subtract", a, b, np.subtract)
-        return Value._node(out, (a, b), "sub",
-                           lambda g: (a._accum(g), b._accum(-g)))
+
+        def backward(g):
+            if a.requires_grad:
+                a._accum(g)
+            if b.requires_grad:
+                b._accum(-g)
+
+        return Value._node(out, (a, b), "sub", backward)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -173,8 +189,14 @@ class Value:
         other = self._coerce(other)
         a, b = self, other
         out = Value._elementwise("multiply", a, b, np.multiply)
-        return Value._node(out, (a, b), "mul",
-                           lambda g: (a._accum(g * b.data), b._accum(g * a.data)))
+
+        def backward(g):
+            if a.requires_grad:
+                a._accum(g * b.data)
+            if b.requires_grad:
+                b._accum(g * a.data)
+
+        return Value._node(out, (a, b), "mul", backward)
 
     __rmul__ = __mul__
 
@@ -184,8 +206,10 @@ class Value:
         out = Value._elementwise("divide", a, b, np.divide)
 
         def backward(g):
-            a._accum(g / b.data)
-            b._accum(-g * a.data / (b.data * b.data))
+            if a.requires_grad:
+                a._accum(g / b.data)
+            if b.requires_grad:
+                b._accum(-g * a.data / (b.data * b.data))
 
         return Value._node(out, (a, b), "div", backward)
 
@@ -199,8 +223,10 @@ class Value:
             raise ShapeError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
 
         def backward(g):
-            a._accum(g @ b.data.T)
-            b._accum(a.data.T @ g)
+            if a.requires_grad:
+                a._accum(g @ b.data.T)
+            if b.requires_grad:
+                b._accum(a.data.T @ g)
 
         return Value._node(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -317,7 +343,8 @@ def concat(values, axis=1):
 
     def backward(g):
         for v, piece in zip(values, np.split(g, splits, axis=axis)):
-            v._accum(piece)
+            if v.requires_grad:
+                v._accum(piece)
 
     return Value._node(out, tuple(values), "concat", backward)
 
@@ -345,18 +372,48 @@ def gather_rows(v, index):
     return Value._node(out, (v,), "gather_rows", backward)
 
 
-def greater(a, b):
-    """0/1 indicator mask of (a > b). Not differentiable by design."""
-    a = a if isinstance(a, Value) else Value(a)
-    b = b if isinstance(b, Value) else Value(b)
-    return Value((a.data > b.data).astype(np.float64))
+def dense(x, w, b, selu=False):
+    """One network layer as one node: x @ w + b, then SELU when `selu`.
 
+    The forward runs in place on the matmul output. The SELU derivative is
+    rebuilt from the output alone (lambda where it is positive, out +
+    lambda * alpha elsewhere), so the node keeps no pre-activation or mask.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"dense: incompatible shapes {x.data.shape} @ {w.data.shape}")
+    out = x.data @ w.data
+    try:
+        out += b.data
+    except ValueError as exc:
+        raise ShapeError(f"dense: bias shape {b.data.shape} does not fit "
+                         f"output shape {out.shape}") from exc
+    if selu:
+        neg = np.minimum(out, 0.0)
+        np.expm1(neg, out=neg)
+        neg *= SELU_ALPHA
+        np.maximum(out, 0.0, out=out)
+        out += neg
+        out *= SELU_LAMBDA
 
-def less(a, b):
-    """0/1 indicator mask of (a < b). Not differentiable by design."""
-    a = a if isinstance(a, Value) else Value(a)
-    b = b if isinstance(b, Value) else Value(b)
-    return Value((a.data < b.data).astype(np.float64))
+    def backward(g):
+        if selu:
+            # min(out, 0) + lambda*alpha, lowered to lambda where out > 0; as
+            # arithmetic, several times faster than np.where on a sign mask
+            local = np.minimum(out, 0.0)
+            local += _SELU_SLOPE_AT_ZERO
+            local -= (out > 0.0) * (_SELU_SLOPE_AT_ZERO - SELU_LAMBDA)
+            local *= g
+            g = local
+        if x.requires_grad:
+            # BLAS runs a contiguous copy of the small w.T faster than the view
+            x._accum(g @ np.ascontiguousarray(w.data.T))
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            # a row of ones times g: the column sums, faster than g.sum(axis=0)
+            b._accum(np.ones((1, g.shape[0])) @ g)
+
+    return Value._node(out, (x, w, b), "dense", backward)
 
 
 def straight_through(hard_data, soft):

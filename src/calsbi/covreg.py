@@ -181,12 +181,15 @@ def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
 
 
 def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
-                    temperature=1.0, prior=None):
+                    temperature=1.0, prior=None, nominal=None):
     """Batched differentiable rank statistics (one per (theta, x) row).
 
-    The observation embedding is evaluated once per row and reused across
-    all proposal draws. Rows whose importance weights all vanish are flagged
-    degenerate and pinned to alpha = 0.
+    `nominal` is the (embedding Value, nominal log density Value) pair of a
+    forward pass the caller has already made on these rows, as a training
+    step's base loss has; without it both are computed here. The embedding
+    is reused across all proposal draws, so the model runs once more, on
+    the n * L draw rows. Rows whose importance weights all vanish are
+    flagged degenerate and pinned to alpha = 0.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
@@ -196,8 +199,10 @@ def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
     n = thetas.shape[0]
     model = _graph_surface(posterior)
 
-    emb = model.embed_graph(Value(xs))
-    lp_star = model.log_density_graph(Value(thetas), emb)              # (n, 1)
+    if nominal is None:
+        emb = model.embed_graph(Value(xs))
+        nominal = emb, model.log_density_graph(Value(thetas), emb)      # (n, 1)
+    emb, lp_star = nominal
     draws = proposal.sample_batch(xs, rng, num_samples)                # (n, L, d)
     flat = draws.reshape(n * num_samples, thetas.shape[1])
     x_rep = np.repeat(xs, num_samples, axis=0)
@@ -267,36 +272,35 @@ def direct_loss(batch, levels=DEFAULT_LEVELS, mode="calibration", temperature=1.
 
     F_N(a_k) counts rank statistics <= a_k; calibration sums (F_N - a_k)^2
     over levels, conservative rectifies so only an ECDF sitting above the
-    level (overconfidence) is penalized.
+    level (overconfidence) is penalized. All K levels are one (n, K)
+    indicator.
     """
     values = _alpha_column(batch)
-    total = None
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"levels must lie strictly inside (0,1), got {level}")
-        membership = 1.0 - ste_indicator(values - level, temperature)
-        gap = membership.mean() - level
-        if mode == "conservative":
-            gap = gap.relu()
-        elif mode != "calibration":
-            raise ValueError(f"unknown mode {mode!r}")
-        term = gap.square()
-        total = term if total is None else total + term
-    return total
+    levels = np.asarray(levels, dtype=np.float64).reshape(1, -1)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise ValueError(f"levels must lie strictly inside (0,1), got {levels[0]}")
+    if mode not in ("calibration", "conservative"):
+        raise ValueError(f"unknown mode {mode!r}")
+    membership = 1.0 - ste_indicator(values - Value(levels), temperature)   # (n, K)
+    gap = membership.mean(axis=0, keepdims=True) - Value(levels)           # (1, K)
+    if mode == "conservative":
+        gap = gap.relu()
+    return gap.square().sum()
 
 
-def regularizer(posterior, thetas, xs, config, rng, prior=None):
+def regularizer(posterior, thetas, xs, config, rng, prior=None, nominal=None):
     """Regularizer loss over a batch, per the training-time recipe.
 
-    Returns (loss Value, RankStatisticBatch); the batch carries degeneracy
-    counts so the trainer can surface warnings.
+    `nominal` passes the base loss's (embedding, nominal log density) on to
+    `rank_statistics`. Returns (loss Value, RankStatisticBatch); the batch
+    carries degeneracy counts so the trainer can surface warnings.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape[0] < 2:
         raise ValueError("regularizer needs a batch of >= 2 pairs")
     proposal = resolve_proposal(config.proposal, prior)
     batch = rank_statistics(posterior, thetas, xs, config.num_samples,
-                            proposal, rng, config.temperature)
+                            proposal, rng, config.temperature, nominal=nominal)
     if config.loss_form == "sorting":
         loss = sorting_loss(batch, config.mode, config.sort_relaxation)
     else:

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value, concat
+from .autodiff import Value, concat, dense
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -147,9 +147,7 @@ class Mlp:
 
     def __call__(self, v):
         for w, b, last in self._layers:
-            v = v @ w + b
-            if not last:
-                v = v.selu()
+            v = dense(v, w, b, selu=not last)
         return v
 
 
@@ -212,13 +210,6 @@ class NreModel(PosteriorDensity):
 
     def log_density(self, theta, x):
         return self.log_density_from_embedding(theta, self.embed(x))
-
-    def classifier_output(self, theta, x):
-        """d(theta, x) in (0, 1)."""
-        theta = _rows(theta, self.dim_theta, "theta")
-        with ad.no_grad():
-            z = self.logit_graph(Value(theta), Value(self.embed(x)))
-            return z.sigmoid().data[:, 0]
 
 
 class NpeFlow(PosteriorDensity):

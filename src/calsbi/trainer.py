@@ -125,30 +125,73 @@ def _softplus(v):
 
 
 def nre_base_loss(model, thetas, xs, rng):
-    """Binary cross-entropy: joint pairs against in-batch shuffled negatives."""
+    """Binary cross-entropy: joint pairs against in-batch shuffled negatives.
+
+    Returns (loss, (embedding, nominal log density)); the pair is the
+    forward pass the regularizer reuses.
+    """
     n = thetas.shape[0]
     if n < 2:
         raise ValueError("ratio loss needs a batch of >= 2 for negative pairs")
+    theta = Value(thetas)
     emb = model.embed_graph(Value(xs))
-    logit_pos = model.logit_graph(Value(thetas), emb)
+    logit_pos = model.logit_graph(theta, emb)
     logit_neg = model.logit_graph(Value(thetas[derangement(n, rng)]), emb)
-    return (_softplus(-logit_pos).mean() + _softplus(logit_neg).mean()) * 0.5
+    loss = (_softplus(-logit_pos).mean() + _softplus(logit_neg).mean()) * 0.5
+    return loss, (emb, model.prior.log_density_graph(theta) + logit_pos)
 
 
 def npe_base_loss(flow, thetas, xs):
-    """Negative mean log density of the nominal parameters."""
+    """Negative mean log density of the nominal parameters.
+
+    Returns (loss, (embedding, nominal log density)), as `nre_base_loss`.
+    """
     emb = flow.embed_graph(Value(xs))
     ld = flow.log_density_graph(Value(thetas), emb)
     bad = np.where(~np.isfinite(ld.data[:, 0]))[0]
     if bad.size:
         raise FloatingPointError(f"non-finite log density at sample index {bad[0]}")
-    return -ld.mean()
+    return -ld.mean(), (emb, ld)
 
 
 def base_loss(model, thetas, xs, rng):
+    """(loss, (embedding, nominal log density)) of the method's base loss."""
     if model.method == "nre":
         return nre_base_loss(model, thetas, xs, rng)
     return npe_base_loss(model, thetas, xs)
+
+
+def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
+               epoch=0, batch=0):
+    """One optimizer step on one batch; the body of every training loop.
+
+    The base loss runs first and hands its embedding and nominal log density
+    to the regularizer (`reg`, None for none), so the batch is embedded
+    once. Then backward, global-norm clipping and AdamW. `rngs` is (negative
+    pairing, proposal draws). A non-finite loss, density or gradient raises
+    TrainAbort at (epoch, batch). Returns (base, regularizer, total,
+    pre-clip gradient norm, degenerate rows).
+    """
+    rng_neg, rng_reg = rngs
+    try:
+        base, nominal = base_loss(model, thetas, xs, rng_neg)
+        total = base
+        rval, degenerate = 0.0, 0
+        if reg is not None:
+            rloss, rbatch = covreg.regularizer(model, thetas, xs, reg, rng_reg,
+                                               prior=prior, nominal=nominal)
+            total = base + rloss * reg.weight
+            rval, degenerate = float(rloss.data[0]), rbatch.degenerate_count
+        tval = float(total.data[0])
+        if not np.isfinite(tval):
+            raise TrainAbort(epoch, batch, f"non-finite loss {tval}")
+        opt.zero_grad()
+        total.backward()
+        grads, pre_norm = clip_grad_norm(opt.gradients(), clip_norm)
+        opt.step(grads)
+    except FloatingPointError as exc:
+        raise TrainAbort(epoch, batch, str(exc)) from exc
+    return float(base.data[0]), rval, tval, pre_norm, degenerate
 
 
 def _split(dataset, fraction):
@@ -184,7 +227,7 @@ def train(config, dataset, problem=None, out_dir=None):
     report = TrainReport()
     best_val = np.inf
     best_params = {k: v.data.copy() for k, v in model.parameters().items()}
-    reg_on = config.reg is not None and config.reg.weight > 0
+    reg = config.reg if config.reg is not None and config.reg.weight > 0 else None
     for epoch in range(config.epochs):
         order = rng_shuffle.permutation(n_train)
         sums = np.zeros(4)
@@ -195,32 +238,18 @@ def train(config, dataset, problem=None, out_dir=None):
             take = order[start:start + config.batch_size]
             if take.size < 2:
                 continue
-            tb, xb = th_train[take], x_train[take]
-            base = base_loss(model, tb, xb, rng_neg)
-            if reg_on:
-                rloss, rbatch = covreg.regularizer(model, tb, xb, config.reg,
-                                                   rng_reg, prior=problem.prior)
-                total = base + rloss * config.reg.weight
-                degenerate += rbatch.degenerate_count
-                rval = float(rloss.data[0])
-            else:
-                total = base
-                rval = 0.0
-            tval = float(total.data[0])
-            if not np.isfinite(tval):
-                raise TrainAbort(epoch, n_batches, f"non-finite loss {tval}")
-            opt.zero_grad()
-            total.backward()
-            grads, pre_norm = clip_grad_norm(opt.gradients(), config.clip_norm)
-            opt.step(grads)
-            sums += (float(base.data[0]), rval, tval, pre_norm)
+            *losses, bad = train_step(model, opt, th_train[take], x_train[take],
+                                      reg, config.clip_norm, (rng_neg, rng_reg),
+                                      problem.prior, epoch, n_batches)
+            sums += losses
+            degenerate += bad
             rows += take.size
             n_batches += 1
         report.base_loss.append(sums[0] / n_batches)
         report.reg_loss.append(sums[1] / n_batches)
         report.total_loss.append(sums[2] / n_batches)
         report.grad_norm.append(sums[3] / n_batches)
-        frac = degenerate / rows if reg_on else 0.0
+        frac = degenerate / rows
         report.degenerate_frac.append(frac)
         if frac > 0.5:
             warnings.warn(f"epoch {epoch}: degenerate importance weights on "
@@ -228,7 +257,7 @@ def train(config, dataset, problem=None, out_dir=None):
         if th_val.shape[0] >= 2:
             with ad.no_grad():
                 vloss = float(base_loss(model, th_val, x_val,
-                                        np.random.default_rng(0)).data[0])
+                                        np.random.default_rng(0))[0].data[0])
             report.val_loss.append(vloss)
             if vloss < best_val:
                 best_val = vloss
@@ -270,10 +299,25 @@ def _config_blob(config, prior, dim_x):
     return {"train": cfg, "prior": prior_spec, "dim_x": dim_x}
 
 
-def _prior_from_spec(spec):
-    if spec["kind"] == "uniform-box":
-        return Prior.uniform_box(spec["low"], spec["high"])
-    return Prior.gaussian(spec["mean"], spec["scale"])
+def _blob_entry(path, mapping, key):
+    """mapping[key] of a checkpoint's config blob; ValueError if it is absent."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path}: damaged config blob: expected an object, "
+                         f"got {type(mapping).__name__}")
+    if key not in mapping:
+        raise ValueError(f"{path}: config blob has no {key!r}")
+    return mapping[key]
+
+
+def _prior_from_spec(path, spec):
+    kind = _blob_entry(path, spec, "kind")
+    if kind == "uniform-box":
+        return Prior.uniform_box(_blob_entry(path, spec, "low"),
+                                 _blob_entry(path, spec, "high"))
+    if kind == "diagonal-gaussian":
+        return Prior.gaussian(_blob_entry(path, spec, "mean"),
+                              _blob_entry(path, spec, "scale"))
+    raise ValueError(f"{path}: unknown prior kind {kind!r}")
 
 
 def save_checkpoint(path, model, config, prior):
@@ -310,14 +354,19 @@ def load_checkpoint(path):
     method = r.take(mlen).decode()
     (blen,) = r.unpack("<I")
     blob = json.loads(r.take(blen).decode())
-    if blob["train"].get("method") != method:
+    cfg = _blob_entry(path, blob, "train")
+    blob_method = _blob_entry(path, cfg, "method")
+    if blob_method != method:
         raise ValueError(f"{path}: method tag {method!r} disagrees with the "
-                         f"config's {blob['train'].get('method')!r}")
-    prior = _prior_from_spec(blob["prior"])
-    arch = {k: blob["train"][k] for k in ("hidden", "embed_dim", "blocks")
-            if k in blob["train"]}
-    model = build_model(method, prior, blob["dim_x"], arch,
-                        rng=np.random.default_rng(0))
+                         f"config's {blob_method!r}")
+    prior = _prior_from_spec(path, _blob_entry(path, blob, "prior"))
+    arch = {k: cfg[k] for k in ("hidden", "embed_dim", "blocks") if k in cfg}
+    dim_x = _blob_entry(path, blob, "dim_x")
+    for key, size in {**arch, "dim_x": dim_x}.items():
+        if type(size) is not int or size < 1:
+            raise ValueError(f"{path}: config blob {key!r} must be a positive "
+                             f"integer, got {size!r}")
+    model = build_model(method, prior, dim_x, arch, rng=np.random.default_rng(0))
     params = model.parameters()
     (n_params,) = r.unpack("<I")
     if n_params != len(params):
@@ -369,24 +418,14 @@ def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
             opt = AdamW(model.parameters(), lr=config.learning_rate)
             reg = covreg.RegConfig(mode="conservative", num_samples=count,
                                    weight=config.reg.weight if config.reg else 5.0)
-            tb = dataset.thetas[:config.batch_size]
-            xb = dataset.xs[:config.batch_size]
-
-            def one_step():
-                base = base_loss(model, tb, xb, rng_neg)
-                rloss, _ = covreg.regularizer(model, tb, xb, reg, rng_reg,
-                                              prior=problem.prior)
-                total = base + rloss * reg.weight
-                opt.zero_grad()
-                total.backward()
-                grads, _ = clip_grad_norm(opt.gradients(), config.clip_norm)
-                opt.step(grads)
-
+            step = (model, opt, dataset.thetas[:config.batch_size],
+                    dataset.xs[:config.batch_size], reg, config.clip_norm,
+                    (rng_neg, rng_reg), problem.prior)
             for _ in range(3):
-                one_step()
+                train_step(*step)
             start = time.perf_counter()
             for _ in range(steps):
-                one_step()
+                train_step(*step)
             timings.append((time.perf_counter() - start) / steps)
         rows.append((count, float(np.min(timings))))
     return rows

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from calsbi import autodiff as ad
-from calsbi.autodiff import (Value, ShapeError, concat, gather_rows, greater,
-                             less, repeat_rows, straight_through)
+from calsbi.autodiff import (Value, ShapeError, concat, dense, gather_rows,
+                             repeat_rows, straight_through)
 from calsbi.optim import AdamW, clip_grad_norm
 
 from conftest import assert_close_rel, finite_difference
@@ -183,13 +183,98 @@ def test_concat_shape_mismatch_raises():
         concat([Value(np.ones((2, 3))), Value(np.ones((3, 3)))], axis=1)
 
 
-def test_comparison_masks_are_constant():
-    a = Value(np.array([1.0, -1.0]), requires_grad=True)
-    b = Value(np.array([0.0, 0.0]), requires_grad=True)
-    mask = greater(a, b)
-    np.testing.assert_array_equal(mask.data, [1.0, 0.0])
-    assert not mask.requires_grad
-    np.testing.assert_array_equal(less(a, b).data, [0.0, 1.0])
+# -- fused dense node --------------------------------------------------------------
+
+
+def _dense_operands(rng, x_grad=True):
+    x = Value(rng.standard_normal((5, 4)), requires_grad=x_grad)
+    w = Value(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Value(rng.standard_normal((1, 3)), requires_grad=True)
+    return x, w, b
+
+
+@pytest.mark.parametrize("selu", [False, True])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_dense_matches_unfused_chain(selu, x_grad):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x, w, b = _dense_operands(rng, x_grad)
+        head = rng.standard_normal((3, 1))
+        fused = dense(x, w, b, selu)
+        (fused @ Value(head)).sum().backward()
+        grads = [p.grad for p in (x, w, b)]
+        for p in (x, w, b):
+            p.grad = None
+        chain = x @ w + b
+        if selu:
+            chain = chain.selu()
+        (chain @ Value(head)).sum().backward()
+        np.testing.assert_allclose(fused.data, chain.data, rtol=1e-15, atol=1e-15)
+        for got, want in zip(grads, (x.grad, w.grad, b.grad)):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("selu", [False, True])
+def test_dense_matches_finite_differences(selu):
+    for seed in range(5):
+        rng = np.random.default_rng(100 + seed)
+        x, w, b = _dense_operands(rng)
+        head = Value(rng.standard_normal((3, 1)))
+
+        def forward():
+            return float((dense(x, w, b, selu) @ head).sum().data[0])
+
+        (dense(x, w, b, selu) @ head).sum().backward()
+        for p in (x, w, b):
+            fd = finite_difference(forward, p.data)
+            assert_close_rel(p.grad, fd)
+
+
+def test_dense_output_is_the_only_array_it_keeps(rng):
+    x, w, b = _dense_operands(rng)
+    out = dense(x, w, b, selu=True)
+    kept = [c.cell_contents for c in out._backward.__closure__]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is out.data
+
+
+def test_dense_shape_mismatch_raises():
+    with pytest.raises(ShapeError, match="dense"):
+        dense(Value(np.ones((2, 3))), Value(np.ones((4, 5))), Value(np.ones((1, 5))))
+    with pytest.raises(ShapeError, match="bias"):
+        dense(Value(np.ones((2, 3))), Value(np.ones((3, 5))), Value(np.ones((1, 4))))
+
+
+# -- constant operands ------------------------------------------------------------
+
+
+def test_backward_builds_no_gradient_for_constant_operands(rng, monkeypatch):
+    x = Value(rng.standard_normal((4, 3)), requires_grad=True)
+    consts = [Value(rng.standard_normal((4, 3))), Value(rng.standard_normal((1, 3))),
+              Value(rng.uniform(1.0, 2.0, (4, 1))), Value(rng.standard_normal((3, 2)))]
+    c_add, c_mul, c_div, c_mat = consts
+    accumulated = []
+    real_accum = Value._accum
+
+    def spy(self, grad):
+        accumulated.append(id(self))
+        real_accum(self, grad)
+
+    monkeypatch.setattr(Value, "_accum", spy)
+    y = ((c_add - (x + c_add)) * c_mul / c_div) @ c_mat
+    concat([y, c_add[:, :1]], axis=1).sum().backward()
+    assert not {id(c) for c in consts} & set(accumulated)
+    np.testing.assert_allclose(x.grad, np.broadcast_to(
+        -(c_mul.data / c_div.data) * c_mat.data.sum(axis=1), (4, 3)), rtol=1e-12)
+
+
+def test_constant_root_gradient_is_one():
+    root = Value(np.array([2.5]))
+    root.backward()
+    np.testing.assert_array_equal(root.grad, [1.0])
 
 
 def test_no_grad_suppresses_graph_recording():

@@ -275,6 +275,27 @@ def test_direct_loss_saturated_overconfident_batch():
     assert float(loss.data[0]) == pytest.approx(sum((1 - a) ** 2 for a in levels))
 
 
+@pytest.mark.parametrize("mode", ["calibration", "conservative"])
+def test_direct_loss_equals_per_level_sum(mode):
+    levels = np.arange(1, 20) / 20.0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        vals = Value(rng.uniform(0.0, 1.0, (32, 1)), requires_grad=True)
+        direct_loss(vals, levels=levels, mode=mode, temperature=0.3).backward()
+        grad = vals.grad
+        vals.grad = None
+        # one straight-through indicator and one rectifier per level
+        total = Value(0.0)
+        for level in levels:
+            gap = (1.0 - ste_indicator(vals - level, 0.3)).mean() - level
+            total = total + (gap.relu() if mode == "conservative" else gap).square()
+        total.backward()
+        loss = direct_loss(vals, levels=levels, mode=mode, temperature=0.3)
+        assert float(loss.data[0]) == pytest.approx(float(total.data[0]),
+                                                    rel=1e-14, abs=1e-16)
+        np.testing.assert_allclose(grad, vals.grad, rtol=1e-13, atol=1e-16)
+
+
 def test_direct_loss_rejects_levels_outside_open_interval():
     with pytest.raises(ValueError):
         direct_loss(Value(np.zeros((4, 1))), levels=(0.0, 0.5), mode="calibration")

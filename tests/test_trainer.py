@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from calsbi import covreg, trainer
 from calsbi.autodiff import Value
 from calsbi.estimators import NpeFlow, NreModel, Prior, build_model
+from calsbi.optim import AdamW
 from calsbi.problems import get_problem, simulate_dataset
 from calsbi.trainer import (TrainAbort, TrainConfig, derangement,
                             load_checkpoint, measure_step_overhead,
@@ -45,8 +47,8 @@ def test_uninformative_ratio_classifier_loss_is_log_two(rng):
     model = NreModel(prior, dim_x=2, hidden=8, embed_dim=4, rng=rng)
     model.head.params["head.w2"].data[...] = 0.0
     model.head.params["head.b2"].data[...] = 0.0
-    loss = nre_base_loss(model, rng.standard_normal((32, 2)),
-                         rng.standard_normal((32, 2)), np.random.default_rng(0))
+    loss, _ = nre_base_loss(model, rng.standard_normal((32, 2)),
+                            rng.standard_normal((32, 2)), np.random.default_rng(0))
     assert float(loss.data[0]) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -75,7 +77,7 @@ def test_ratio_loss_requires_two_rows(rng):
 
 def test_identity_flow_nll_is_standard_normal_entropy_term(rng):
     flow = NpeFlow(dim_theta=2, dim_x=2, rng=rng)  # identity at init
-    loss = npe_base_loss(flow, np.zeros((8, 2)), rng.standard_normal((8, 2)))
+    loss, _ = npe_base_loss(flow, np.zeros((8, 2)), rng.standard_normal((8, 2)))
     assert float(loss.data[0]) == pytest.approx(math.log(2 * math.pi), abs=1e-12)
 
 
@@ -142,7 +144,8 @@ def test_budget_smaller_than_batch_rejected():
 
 
 def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
-    def fake_regularizer(posterior, thetas, xs, config, rng, prior=None):
+    def fake_regularizer(posterior, thetas, xs, config, rng, prior=None,
+                         nominal=None):
         n = thetas.shape[0]
         batch = covreg.RankStatisticBatch(
             values=Value(np.zeros((n, 1))), num_samples=config.num_samples,
@@ -158,9 +161,89 @@ def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
 
 def test_non_finite_loss_aborts_with_coordinates(gl_dataset, monkeypatch):
     monkeypatch.setattr("calsbi.trainer.base_loss",
-                        lambda model, t, x, rng: Value(np.array([np.nan])))
+                        lambda model, t, x, rng: (Value(np.array([np.nan])), None))
     with pytest.raises(TrainAbort, match="epoch 0, batch 0"):
         train(small_config(), gl_dataset)
+
+
+def test_non_finite_gradient_aborts_with_coordinates(gl_dataset, monkeypatch):
+    real_base_loss = trainer.base_loss
+
+    def poisoned(model, thetas, xs, rng):
+        # finite loss value whose backward sends NaN into every parameter
+        loss, nominal = real_base_loss(model, thetas, xs, rng)
+        return Value._node(loss.data, (loss,), "poison",
+                           lambda g: loss._accum(g * np.nan)), nominal
+
+    monkeypatch.setattr("calsbi.trainer.base_loss", poisoned)
+    with pytest.raises(TrainAbort, match="epoch 0, batch 0: non-finite gradient") as info:
+        train(small_config(), gl_dataset)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+# -- one training step -------------------------------------------------------------
+
+
+def _step_setup(method, seed=3):
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 64, seed=seed)
+    model = build_model(method, problem.prior, ds.dim_x, {"hidden": 8, "embed_dim": 4},
+                        rng=np.random.default_rng(seed))
+    reg = covreg.RegConfig(num_samples=8, weight=2.0)
+    return problem, ds, model, reg
+
+
+def test_regularized_npe_step_embeds_the_batch_once():
+    problem, ds, flow, reg = _step_setup("npe")
+    opt = AdamW(flow.parameters())
+    flow.counters.reset()
+    trainer.train_step(flow, opt, ds.thetas, ds.xs, reg, 5.0,
+                       (np.random.default_rng(0), np.random.default_rng(1)),
+                       problem.prior)
+    assert flow.counters.embed_calls == 1
+    assert flow.counters.embed_rows == ds.count
+    # nominal rows once, plus the n * L proposal draws
+    assert flow.counters.density_rows == ds.count * (1 + reg.num_samples)
+
+
+@pytest.mark.parametrize("method", ["npe", "nre"])
+def test_shared_forward_step_gradients_match_separate_calls(method):
+    problem, ds, model, reg = _step_setup(method)
+    params = model.parameters()
+    # reference: base loss and regularizer each run their own forward pass
+    base, _ = trainer.base_loss(model, ds.thetas, ds.xs, np.random.default_rng(0))
+    rloss, _ = covreg.regularizer(model, ds.thetas, ds.xs, reg,
+                                  np.random.default_rng(1), prior=problem.prior)
+    (base + rloss * reg.weight).backward()
+    expected = {k: p.grad for k, p in params.items()}
+    opt = AdamW(params)
+    opt.zero_grad()
+    b, r, t, _, _ = trainer.train_step(
+        model, opt, ds.thetas, ds.xs, reg, 1e9,
+        (np.random.default_rng(0), np.random.default_rng(1)), problem.prior)
+    assert (b, r) == (float(base.data[0]), float(rloss.data[0]))
+    for k, p in params.items():
+        np.testing.assert_allclose(p.grad, expected[k], rtol=1e-12, atol=1e-12)
+
+
+def test_train_and_overhead_probe_run_the_same_step(gl_dataset, monkeypatch):
+    calls = []
+    real_step = trainer.train_step
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr("calsbi.trainer.train_step", counting)
+    reg = covreg.RegConfig(num_samples=2)
+    train(small_config(epochs=1, reg=reg), gl_dataset)
+    n_train = gl_dataset.count - round(0.1 * gl_dataset.count)
+    assert len(calls) == -(-n_train // 64)
+    assert all(r is reg for r in calls)
+    calls.clear()
+    measure_step_overhead(small_config(batch_size=32, reg=reg), gl_dataset,
+                          sample_counts=(1, 4), steps=2, repeats=1)
+    assert [r.num_samples for r in calls] == [1] * 5 + [4] * 5
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -259,6 +342,53 @@ def test_checkpoint_rejects_method_tag_disagreeing_with_config(tmp_path):
     tiny_checkpoint(path, method="npe", config_method="nre")
     with pytest.raises(ValueError, match="method"):
         load_checkpoint(path)
+
+
+def _with_blob(path, blob):
+    """Rewrite a saved checkpoint's config blob with `blob` (raw bytes)."""
+    raw = path.read_bytes()
+    mlen = struct.unpack_from("<I", raw, 8)[0]
+    at = 12 + mlen
+    blen = struct.unpack_from("<I", raw, at)[0]
+    path.write_bytes(raw[:at] + struct.pack("<I", len(blob)) + blob
+                     + raw[at + 4 + blen:])
+
+
+def test_checkpoint_rejects_config_blob_that_is_not_an_object(tmp_path):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path)
+    _with_blob(path, b"[1, 2]")
+    with pytest.raises(ValueError, match="expected an object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["train", "prior", "dim_x"])
+def test_checkpoint_names_a_missing_config_key(tmp_path, key):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path)
+    raw = path.read_bytes()
+    assert raw.count(f'"{key}"'.encode()) == 1
+    path.write_bytes(raw.replace(f'"{key}"'.encode(), f'"{key[::-1]}"'.encode()))
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_single_bit_flips_raise_only_value_error(tmp_path):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path, method="npe")
+    raw = path.read_bytes()
+    rng = np.random.default_rng(2024)
+    flipped = tmp_path / "flipped.calc"
+    blob_errors = 0
+    for pos, bit in zip(rng.integers(0, len(raw), 1500), rng.integers(0, 8, 1500)):
+        data = bytearray(raw)
+        data[pos] ^= 1 << bit
+        flipped.write_bytes(data)
+        try:
+            load_checkpoint(flipped)
+        except ValueError as exc:
+            blob_errors += "config blob" in str(exc)
+    assert blob_errors > 0     # the loop reached the damaged-blob checks
 
 
 def test_loaded_model_reproduces_expected_log_density(tmp_path, gl_dataset):
