@@ -64,7 +64,6 @@ class RankStatisticBatch:
 
     values: Value                        # (n, 1), each in [0, 1]
     num_samples: int
-    proposal_id: str
     weight_sums: np.ndarray              # (n,), max-normalized weight totals
     degenerate: np.ndarray = field(default=None)   # bool mask of all-zero-weight rows
 
@@ -101,7 +100,6 @@ class PriorProposal:
 
     def __init__(self, prior):
         self.prior = prior
-        self.proposal_id = "prior"
 
     def sample_batch(self, xs, rng, count):
         n = np.asarray(xs).shape[0]
@@ -112,21 +110,13 @@ class PriorProposal:
 
 
 class DensityProposal:
-    """Adapts a conditional density with sampling to the proposal surface."""
+    """Adapts a conditional density with `sample_batch` to the proposal surface."""
 
     def __init__(self, density):
         self.density = density
-        self.proposal_id = type(density).__name__
-        self.dim_theta = density.dim_theta
 
     def sample_batch(self, xs, rng, count):
-        if hasattr(self.density, "sample_batch"):
-            return self.density.sample_batch(xs, rng, count)
-        xs = np.asarray(xs)
-        out = np.empty((xs.shape[0], count, self.dim_theta))
-        for i in range(xs.shape[0]):
-            out[i] = self.density.sample(xs[i:i + 1], rng, count)
-        return out
+        return self.density.sample_batch(xs, rng, count)
 
     def log_density_rows(self, thetas, xs):
         return self.density.log_density(thetas, xs)
@@ -211,11 +201,8 @@ def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
         Value(flat), repeat_rows(emb, num_samples)).reshape(n, num_samples)
     alpha, weight_sums, degenerate = rank_statistic_core(
         lp_star, lp_draws, log_prop, temperature)
-
-    pid = getattr(proposal, "proposal_id", type(proposal).__name__)
     return RankStatisticBatch(values=alpha, num_samples=num_samples,
-                              proposal_id=pid, weight_sums=weight_sums,
-                              degenerate=degenerate)
+                              weight_sums=weight_sums, degenerate=degenerate)
 
 
 def _alpha_column(batch):

@@ -10,8 +10,9 @@ Problems:
                    in closed form (dim configurable, default 2).
   nonlinear-2d     map (t1^2, t1*t2) on a uniform box prior; the posterior is
                    bimodal in the sign of t1.
-  mixture-1d-demo  density-only pair of 1D Gaussian mixtures (0.7/0.3 weights)
-                   for the coverage-intuition demo; no simulator.
+
+`mixture_demo_densities` gives the coverage-intuition demo its pair of 1D
+Gaussian mixtures (0.7/0.3 weights).
 """
 
 import math
@@ -41,13 +42,11 @@ class Problem:
     dim_theta: int
     dim_x: int
     noise_sigma: float
-    mean_fn: object = None      # theta rows -> observation means, None if no simulator
-    oracle_kind: str = "grid"   # analytic | grid | none
+    mean_fn: object             # theta rows -> observation means
+    oracle_kind: str = "grid"   # analytic | grid
 
     def simulate(self, thetas, rng, zero_noise=False):
         """Vectorized simulator x = m(theta) + sigma * eps."""
-        if self.mean_fn is None:
-            raise ValueError(f"problem {self.id!r} is density-only and has no simulator")
         thetas = np.asarray(thetas, dtype=np.float64).reshape(-1, self.dim_theta)
         mean = self.mean_fn(thetas)
         if zero_noise:
@@ -86,21 +85,9 @@ def nonlinear_2d():
     )
 
 
-def mixture_demo_problem():
-    return Problem(
-        id="mixture-1d-demo",
-        prior=Prior.uniform_box([-6.0], [6.0]),
-        dim_theta=1, dim_x=0,
-        noise_sigma=np.nan,
-        mean_fn=None,
-        oracle_kind="none",
-    )
-
-
 _REGISTRY = {
     "gaussian-linear": gaussian_linear,
     "nonlinear-2d": nonlinear_2d,
-    "mixture-1d-demo": mixture_demo_problem,
 }
 
 
@@ -192,6 +179,9 @@ def load_dataset(path):
     r.finish()
     rows = np.frombuffer(payload, dtype="<f8").reshape(count, dim_theta + dim_x)
     rows = rows.astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite value in row {bad[0]}")
     return Dataset(pid, seed, dim_theta, dim_x,
                    rows[:, :dim_theta].copy(), rows[:, dim_theta:].copy())
 
@@ -319,25 +309,6 @@ class GridOracle:
                            + (1 - wu) * wv * self.log_dens[i0, j1]
                            + wu * wv * self.log_dens[i1, j1])
         return out
-
-    def local_maxima(self):
-        """Cell-center coordinates of strict local maxima of the density."""
-        ld = self.log_dens
-        if self.dim_theta == 1:
-            pad = np.pad(ld, 1, constant_values=-np.inf)
-            hits = np.where((ld > pad[:-2]) & (ld > pad[2:]))[0]
-            return [(self.centers[0][i],) for i in hits]
-        pad = np.pad(ld, 1, constant_values=-np.inf)
-        core = pad[1:-1, 1:-1]
-        mask = np.ones_like(core, dtype=bool)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                mask &= core > pad[1 + di:pad.shape[0] - 1 + di,
-                                   1 + dj:pad.shape[1] - 1 + dj]
-        idx = np.argwhere(mask)
-        return [(self.centers[0][i], self.centers[1][j]) for i, j in idx]
 
 
 def grid_posterior(problem, x, resolution=512):

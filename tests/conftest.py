@@ -31,3 +31,32 @@ def assert_close_rel(actual, expected, rtol=1e-4, atol=1e-7):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class RowCounter:
+    """Counts a model's embedding calls and rows and its density rows.
+
+    Wraps the instance's `embed_graph` and `log_density_graph`, through
+    which both the graph and the numpy surface run.
+    """
+
+    def __init__(self, model):
+        self.reset()
+        embed, density = model.embed_graph, model.log_density_graph
+
+        def counted_embed(x):
+            self.embed_calls += 1
+            self.embed_rows += x.data.shape[0]
+            return embed(x)
+
+        def counted_density(theta, x_emb):
+            self.density_rows += theta.data.shape[0]
+            return density(theta, x_emb)
+
+        model.embed_graph = counted_embed
+        model.log_density_graph = counted_density
+
+    def reset(self):
+        self.embed_calls = 0
+        self.embed_rows = 0
+        self.density_rows = 0

@@ -151,6 +151,21 @@ def test_eval_truncated_inputs_exit_two(data_file, run_dir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_non_finite_dataset_row_exits_two(data_file, tmp_path, capsys):
+    ds = load_dataset(data_file)
+    ds.thetas[3, 0] = np.nan
+    bad = tmp_path / "nan.sbid"
+    ds.save(bad)
+    code = run(["eval", "--oracle", "--data", str(bad), "--ecp", "both",
+                "--out-dir", str(tmp_path / "e")])
+    assert code == 2
+    assert "non-finite value in row 3" in capsys.readouterr().err
+    code = run(["train", "--method", "npe", "--data", str(bad),
+                "--out-dir", str(tmp_path / "t"), "--epochs", "1"])
+    assert code == 2
+    assert "non-finite value in row 3" in capsys.readouterr().err
+
+
 def test_eval_oracle_unsupported_problem(tmp_path, capsys):
     data = tmp_path / "nl.sbid"
     run(["simulate", "--problem", "nonlinear-2d", "--n", "32", "--out", str(data)])

@@ -16,6 +16,8 @@ from calsbi.estimators import Prior, PriorPosterior
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 from calsbi.trainer import TrainConfig, train
 
+from conftest import RowCounter
+
 
 def phi(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -161,10 +163,10 @@ def test_grid_hpdr_matches_threshold_search_on_trained_models(nonlinear_models,
     problem = get_problem("nonlinear-2d")
     model = nonlinear_models[method]
     ds = simulate_dataset(problem, 24, seed=38)
-    model.counters.reset()
+    counter = RowCounter(model)
     curve = ecp_grid_hpdr(model, ds.thetas, ds.xs, problem, levels=LEVELS,
                           resolution=64)
-    assert model.counters.embed_rows == ds.count   # one embedding per pair
+    assert counter.embed_rows == ds.count   # one embedding per pair
     expected = reference_grid_ecp(model, ds.thetas, ds.xs, problem, LEVELS, 64)
     np.testing.assert_array_equal(curve.ecp, expected)
     assert 0.0 < curve.ecp[-1]

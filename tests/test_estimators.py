@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from calsbi import autodiff as ad
-from calsbi.autodiff import Value
+from calsbi.autodiff import Value, concat
 from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, NreModel, Prior,
                                PriorPosterior, build_model)
 
-from conftest import assert_close_rel, finite_difference
+from conftest import RowCounter, assert_close_rel, finite_difference
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -40,10 +41,13 @@ def test_gaussian_prior_matches_closed_form(rng):
 
 def test_prior_graph_matches_numpy(rng):
     for prior in (Prior.gaussian([0.0, 0.0], [1.0, 2.0]),
+                  Prior.gaussian([0.3, -0.2], [0.7, 3.0]),
                   Prior.uniform_box([-2.0, -2.0], [2.0, 2.0])):
-        theta = prior.sample(rng, 16)
+        theta = np.concatenate([prior.sample(rng, 16),
+                                rng.uniform(-4.0, 4.0, size=(16, 2))])
         graph = prior.log_density_graph(Value(theta)).data[:, 0]
         np.testing.assert_array_equal(graph, prior.log_density(theta))
+    assert np.isneginf(graph).any()      # the box, off its support
 
 
 def test_prior_samples_stay_in_support(rng):
@@ -129,7 +133,7 @@ def test_identity_flow_density_is_standard_normal(rng):
 def test_identity_flow_sample_density_matches_base(rng):
     flow = NpeFlow(dim_theta=2, dim_x=2, rng=rng)
     x = np.array([[0.1, 0.2]])
-    draws = flow.sample(x, np.random.default_rng(7), 64)
+    draws = flow.sample_batch(x, np.random.default_rng(7), 64)[0]
     ld = flow.log_density(draws, np.repeat(x, 64, axis=0))
     base = -0.5 * np.sum(draws ** 2, axis=1) - LOG_2PI
     np.testing.assert_allclose(ld, base, rtol=1e-12)
@@ -137,7 +141,8 @@ def test_identity_flow_sample_density_matches_base(rng):
 
 def test_identity_flow_samples_are_standard_normal(rng):
     flow = NpeFlow(dim_theta=2, dim_x=2, rng=rng)
-    draws = flow.sample(np.array([[0.0, 0.0]]), np.random.default_rng(3), 100_000)
+    draws = flow.sample_batch(np.array([[0.0, 0.0]]), np.random.default_rng(3),
+                              100_000)[0]
     assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
     assert np.all(np.abs(draws.std(axis=0) - 1.0) < 0.02)
 
@@ -145,17 +150,17 @@ def test_identity_flow_samples_are_standard_normal(rng):
 def test_sampling_is_reproducible_and_count_zero_empty(rng):
     flow = NpeFlow(dim_theta=2, dim_x=2, rng=rng, last_scale=0.3)
     x = np.array([[0.5, -0.5]])
-    a = flow.sample(x, np.random.default_rng(11), 32)
-    b = flow.sample(x, np.random.default_rng(11), 32)
+    a = flow.sample_batch(x, np.random.default_rng(11), 32)[0]
+    b = flow.sample_batch(x, np.random.default_rng(11), 32)[0]
     np.testing.assert_array_equal(a, b)
-    assert flow.sample(x, np.random.default_rng(11), 0).shape == (0, 2)
+    assert flow.sample_batch(x, np.random.default_rng(11), 0)[0].shape == (0, 2)
 
 
-def test_flow_inverse_of_forward_is_identity(rng):
-    for seed in range(10):
+def test_flow_inverse_of_forward_is_identity():
+    for dim, seed in itertools.product((1, 2, 3), range(10)):
         r = np.random.default_rng(seed)
-        flow = NpeFlow(dim_theta=2, dim_x=3, rng=r, last_scale=0.5)
-        theta = r.standard_normal((6, 2)) * 2.0
+        flow = NpeFlow(dim_theta=dim, dim_x=3, rng=r, last_scale=0.5)
+        theta = r.standard_normal((6, dim)) * 2.0
         x = r.standard_normal((6, 3))
         with ad.no_grad():
             emb = Value(flow.embed(x))
@@ -165,27 +170,119 @@ def test_flow_inverse_of_forward_is_identity(rng):
 
 
 def test_flow_logdet_matches_numeric_jacobian(rng):
-    flow = NpeFlow(dim_theta=2, dim_x=2, rng=rng, last_scale=0.5)
-    x = rng.standard_normal((1, 2))
-    emb = flow.embed(x)
-    theta = rng.standard_normal((1, 2))
+    for dim in (2, 1, 3):
+        flow = NpeFlow(dim_theta=dim, dim_x=2, rng=rng, last_scale=0.5)
+        x = rng.standard_normal((1, 2))
+        emb = flow.embed(x)
+        theta = rng.standard_normal((1, dim))
 
-    def z_of(t):
+        def z_of(t):
+            with ad.no_grad():
+                z, _ = flow._pull_back(Value(t.reshape(1, dim)), Value(emb))
+            return z.data[0]
+
+        eps = 1e-6
+        jac = np.zeros((dim, dim))
+        for j in range(dim):
+            tp, tm = theta[0].copy(), theta[0].copy()
+            tp[j] += eps
+            tm[j] -= eps
+            jac[:, j] = (z_of(tp) - z_of(tm)) / (2 * eps)
         with ad.no_grad():
-            z, _ = flow._pull_back(Value(t.reshape(1, 2)), Value(emb))
-        return z.data[0]
+            _, logdet = flow._pull_back(Value(theta), Value(emb))
+        assert logdet.data[0, 0] == pytest.approx(
+            math.log(abs(np.linalg.det(jac))), rel=1e-4)
 
-    eps = 1e-6
-    jac = np.zeros((2, 2))
-    for j in range(2):
-        tp, tm = theta[0].copy(), theta[0].copy()
-        tp[j] += eps
-        tm[j] -= eps
-        jac[:, j] = (z_of(tp) - z_of(tm)) / (2 * eps)
+
+def _column_blocks(flow):
+    """(conditioning, moved) column lists per block of the per-column flow (2D+)."""
+    dims = np.arange(flow.dim_theta)
+    return [(dims[(dims + j) % 2 == 0], dims[(dims + j) % 2 == 1])
+            for j in range(len(flow.coupling))]
+
+
+def _column_scale_shift(flow, net, cond, x_emb):
+    raw = net(x_emb if cond is None else concat([cond, x_emb], axis=1))
+    half = raw.data.shape[1] // 2
+    return raw[:, :half].tanh() * flow.scale_bound, raw[:, half:]
+
+
+def reference_pull_back(flow, theta, x_emb):
+    """The per-column inverse pass, kept frozen as a reference."""
+    nets = [net for _, net in flow.coupling]
+    if flow.dim_theta == 1:
+        s, shift = _column_scale_shift(flow, nets[0], None, x_emb)
+        return (theta - shift) * (-s).exp(), -s.sum(axis=1, keepdims=True)
+    cols = [theta[:, d:d + 1] for d in range(flow.dim_theta)]
+    logdet = Value(np.zeros((theta.data.shape[0], 1)))
+    for (cond_idx, trans_idx), net in reversed(list(zip(_column_blocks(flow), nets))):
+        cond = concat([cols[d] for d in cond_idx], axis=1)
+        s, shift = _column_scale_shift(flow, net, cond, x_emb)
+        moved = (concat([cols[d] for d in trans_idx], axis=1) - shift) * (-s).exp()
+        for k, d in enumerate(trans_idx):
+            cols[d] = moved[:, k:k + 1]
+        logdet = logdet - s.sum(axis=1, keepdims=True)
+    return concat(cols, axis=1), logdet
+
+
+def reference_push_forward(flow, z, x_emb):
+    """The per-column forward pass, kept frozen as a reference."""
+    nets = [net for _, net in flow.coupling]
+    if flow.dim_theta == 1:
+        s, shift = _column_scale_shift(flow, nets[0], None, x_emb)
+        return z * s.exp() + shift
+    cols = [z[:, d:d + 1] for d in range(flow.dim_theta)]
+    for (cond_idx, trans_idx), net in zip(_column_blocks(flow), nets):
+        cond = concat([cols[d] for d in cond_idx], axis=1)
+        s, shift = _column_scale_shift(flow, net, cond, x_emb)
+        moved = concat([cols[d] for d in trans_idx], axis=1) * s.exp() + shift
+        for k, d in enumerate(trans_idx):
+            cols[d] = moved[:, k:k + 1]
+    return concat(cols, axis=1)
+
+
+@pytest.mark.parametrize("dim,blocks", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3),
+                                        (4, 2), (4, 3)])
+def test_coupling_halves_match_per_column_reference_bit_for_bit(dim, blocks):
+    r = np.random.default_rng(40 + dim * 10 + blocks)
+    flow = NpeFlow(dim_theta=dim, dim_x=3, rng=r, last_scale=0.5, blocks=blocks)
+    theta = r.standard_normal((25, dim)) * 1.5
+    x = r.standard_normal((25, 3))
+    weights = Value(np.linspace(0.5, 1.5, 25).reshape(-1, 1))
+    params = flow.parameters()
+    results = []
+    for pull_back in (flow._pull_back, lambda t, e: reference_pull_back(flow, t, e)):
+        for p in params.values():
+            p.grad = None
+        theta_v = Value(theta.copy(), requires_grad=True)
+        z, logdet = pull_back(theta_v, flow.embed_graph(Value(x)))
+        ((z.square().sum(axis=1, keepdims=True) + logdet) * weights).sum().backward()
+        results.append([z.data, logdet.data, theta_v.grad]
+                       + [params[k].grad for k in sorted(params)])
+    for new, ref in zip(*results):
+        np.testing.assert_array_equal(new, ref)
     with ad.no_grad():
-        _, logdet = flow._pull_back(Value(theta), Value(emb))
-    assert logdet.data[0, 0] == pytest.approx(math.log(abs(np.linalg.det(jac))),
-                                              rel=1e-4)
+        emb = Value(flow.embed(x))
+        np.testing.assert_array_equal(
+            flow._push_forward(Value(theta), emb).data,
+            reference_push_forward(flow, Value(theta), emb).data)
+
+
+def test_graph_surface_equals_numpy_surface():
+    r = np.random.default_rng(21)
+    box = NreModel(Prior.uniform_box([-1.0, -2.0], [1.0, 2.0]), dim_x=2, rng=r)
+    models = [box, NreModel(Prior.gaussian([0.3, -0.2], [0.7, 3.0]), dim_x=2, rng=r)]
+    models += [NpeFlow(dim, 2, rng=r, last_scale=0.5) for dim in (1, 2, 3)]
+    for model in models:
+        theta = r.uniform(-2.5, 2.5, size=(40, model.dim_theta))
+        x = r.standard_normal((40, 2))
+        graph = model.log_density_graph(Value(theta), model.embed_graph(Value(x)))
+        numpy_ld = model.log_density(theta, x)
+        np.testing.assert_array_equal(graph.data[:, 0], numpy_ld)
+        if model is box:
+            off = ~box.prior.in_support(theta)
+            assert off.any() and np.isneginf(numpy_ld[off]).all()
+            assert np.isfinite(numpy_ld[~off]).all()
 
 
 def test_flow_density_integrates_to_one_on_grid(rng):
@@ -209,7 +306,7 @@ def test_one_dimensional_flow_density_and_sampling(rng):
     emb = np.repeat(flow.embed(x), span.size, axis=0)
     ld = flow.log_density_from_embedding(span.reshape(-1, 1), emb)
     assert np.sum(np.exp(ld)) * step == pytest.approx(1.0, abs=1e-3)
-    draws = flow.sample(x, np.random.default_rng(5), 50_000)
+    draws = flow.sample_batch(x, np.random.default_rng(5), 50_000)[0]
     # draws should follow the same affine-of-normal law the density describes
     ld_draws = flow.log_density(draws, np.repeat(x, draws.shape[0], axis=0))
     assert np.isfinite(ld_draws).all()
@@ -233,25 +330,25 @@ def test_embedding_reuse_counts_one_embedding_for_many_evaluations(rng):
     x = rng.standard_normal((1, 2))
     theta_star = rng.standard_normal((1, 2))
     draws = rng.standard_normal((sample_count, 2))
-    flow.counters.reset()
+    counter = RowCounter(flow)
     emb = flow.embed(x)
     flow.log_density_from_embedding(theta_star, emb)
     flow.log_density_from_embedding(draws, np.repeat(emb, sample_count, axis=0))
-    assert flow.counters.embed_rows == 1
-    assert flow.counters.embed_calls == 1
-    assert flow.counters.density_rows == sample_count + 1
+    assert counter.embed_rows == 1
+    assert counter.embed_calls == 1
+    assert counter.density_rows == sample_count + 1
 
 
 def test_reuse_strictly_fewer_embedding_rows_than_per_evaluation_embedding(rng):
     flow = NpeFlow(dim_theta=2, dim_x=2, rng=rng, last_scale=0.3)
     theta = rng.standard_normal((17, 2))
     x = np.repeat(rng.standard_normal((1, 2)), 17, axis=0)
-    flow.counters.reset()
+    counter = RowCounter(flow)
     flow.log_density(theta, x)  # embeds every row
-    without_reuse = flow.counters.embed_rows
-    flow.counters.reset()
+    without_reuse = counter.embed_rows
+    counter.reset()
     flow.log_density_from_embedding(theta, np.repeat(flow.embed(x[:1]), 17, axis=0))
-    with_reuse = flow.counters.embed_rows
+    with_reuse = counter.embed_rows
     assert with_reuse < without_reuse
     assert with_reuse == 1 and without_reuse == 17
 

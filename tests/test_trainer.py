@@ -14,6 +14,8 @@ from calsbi.trainer import (TrainAbort, TrainConfig, derangement,
                             nre_base_loss, npe_base_loss, save_checkpoint,
                             train)
 
+from conftest import RowCounter
+
 
 @pytest.fixture(scope="module")
 def gl_dataset():
@@ -149,7 +151,7 @@ def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
         n = thetas.shape[0]
         batch = covreg.RankStatisticBatch(
             values=Value(np.zeros((n, 1))), num_samples=config.num_samples,
-            proposal_id="prior", weight_sums=np.zeros(n),
+            weight_sums=np.zeros(n),
             degenerate=np.ones(n, dtype=bool))
         return Value(np.zeros(1)), batch
 
@@ -196,14 +198,14 @@ def _step_setup(method, seed=3):
 def test_regularized_npe_step_embeds_the_batch_once():
     problem, ds, flow, reg = _step_setup("npe")
     opt = AdamW(flow.parameters())
-    flow.counters.reset()
+    counter = RowCounter(flow)
     trainer.train_step(flow, opt, ds.thetas, ds.xs, reg, 5.0,
                        (np.random.default_rng(0), np.random.default_rng(1)),
                        problem.prior)
-    assert flow.counters.embed_calls == 1
-    assert flow.counters.embed_rows == ds.count
+    assert counter.embed_calls == 1
+    assert counter.embed_rows == ds.count
     # nominal rows once, plus the n * L proposal draws
-    assert flow.counters.density_rows == ds.count * (1 + reg.num_samples)
+    assert counter.density_rows == ds.count * (1 + reg.num_samples)
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
