@@ -14,18 +14,12 @@ import time
 import numpy as np
 
 from . import __version__, covreg, diagnostics, svgplot, trainer
-from .problems import (analytic_posterior, get_problem, load_dataset,
-                       mixture_demo_densities, simulate_dataset)
+from .problems import (analytic_posterior, load_dataset, mixture_demo_densities,
+                       problem_for_dataset, simulate_dataset)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def problem_for_dataset(ds):
-    if ds.problem_id == "gaussian-linear":
-        return get_problem("gaussian-linear", dim=ds.dim_theta)
-    return get_problem(ds.problem_id)
 
 
 def write_manifest(path, command, resolved, wall_time):
@@ -285,9 +279,16 @@ def build_parser():
 
 
 def _apply_config_file(parser, argv):
+    """Turn the --config file's key=value lines into parser defaults.
+
+    A missing path or a value its flag's type rejects raises ValueError
+    naming the file and the key.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     defaults = {}
     with open(path) as f:
@@ -306,7 +307,11 @@ def _apply_config_file(parser, argv):
             if isinstance(action.default, bool):
                 typed[action.dest] = raw.lower() in ("1", "true", "yes", "on")
             elif action.type is not None:
-                typed[action.dest] = action.type(raw)
+                try:
+                    typed[action.dest] = action.type(raw)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ValueError(f"config file {path}: bad value for "
+                                     f"{action.dest}={raw!r}: {exc}") from exc
             else:
                 typed[action.dest] = raw
             action.required = False
@@ -321,6 +326,9 @@ def main(argv=None):
         argv = _apply_config_file(parser, argv)
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)
     try:

@@ -5,7 +5,11 @@ importance-sampling estimate of the posterior mass where the density lies
 strictly below the density at theta*:
 
     alpha = sum_j w_j * 1[p(theta_j|x*) < p(theta*|x*)] / sum_j w_j,
-    w_j = p(theta_j|x*) / I(theta_j),   theta_j ~ proposal I.
+    w_j = p(theta_j|x*) / I(theta_j|x*),   theta_j ~ proposal I.
+
+The proposal is a density like the posterior (`DensityProposal`); training
+always draws from the prior (`PriorProposal`), and only evaluation code
+passes another density, such as an oracle or a flow.
 
 A calibrated model produces uniformly distributed rank statistics, so the
 regularizer drives the batch of alphas toward the uniform order statistics
@@ -21,25 +25,24 @@ to per-x* rescaling of the density: indicators compare same-x* values and
 the importance weights self-normalize.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Value, gather_rows, repeat_rows, straight_through
-from .estimators import ConstantGraphDensity, Prior
+from .autodiff import Value, gather_rows, no_grad, repeat_rows, straight_through
+from .estimators import ConstantGraphDensity, PriorPosterior
 
 DEFAULT_LEVELS = tuple((np.arange(1, 20) / 20.0).tolist())
 
 
 @dataclass
 class RegConfig:
-    """Knobs of the coverage regularizer."""
+    """Knobs of the coverage regularizer; its proposal is always the prior."""
 
     mode: str = "conservative"          # calibration | conservative
     loss_form: str = "sorting"          # sorting | direct
     weight: float = 5.0                 # multiplier applied by the trainer
-    num_samples: int = 16               # proposal draws per pair
-    proposal: object = "prior"          # "prior" or a density with sampling
+    num_samples: int = 16               # prior draws per pair
     levels: tuple = DEFAULT_LEVELS      # direct form only
     temperature: float = 1.0            # straight-through band half-width
     sort_relaxation: float = 0.0        # > 0 enables the smoothed sort backward
@@ -63,9 +66,8 @@ class RankStatisticBatch:
     """Differentiable rank statistics plus importance-weight health data."""
 
     values: Value                        # (n, 1), each in [0, 1]
-    num_samples: int
     weight_sums: np.ndarray              # (n,), max-normalized weight totals
-    degenerate: np.ndarray = field(default=None)   # bool mask of all-zero-weight rows
+    degenerate: np.ndarray               # (n,) bool mask of all-zero-weight rows
 
     @property
     def size(self):
@@ -73,11 +75,7 @@ class RankStatisticBatch:
 
     @property
     def degenerate_count(self):
-        return 0 if self.degenerate is None else int(self.degenerate.sum())
-
-    @property
-    def degenerate_fraction(self):
-        return self.degenerate_count / max(self.size, 1)
+        return int(self.degenerate.sum())
 
 
 def ste_indicator(u, temperature=1.0):
@@ -95,22 +93,13 @@ def ste_indicator(u, temperature=1.0):
     return Value._node(hard, (u,), "ste_indicator", lambda g: u._accum(g * band))
 
 
-class PriorProposal:
-    """Adapts a Prior to the proposal surface (x-independent sampling)."""
-
-    def __init__(self, prior):
-        self.prior = prior
-
-    def sample_batch(self, xs, rng, count):
-        n = np.asarray(xs).shape[0]
-        return self.prior.sample(rng, n * count).reshape(n, count, self.prior.dim)
-
-    def log_density_rows(self, thetas, xs):
-        return self.prior.log_density(thetas)
-
-
 class DensityProposal:
-    """Adapts a conditional density with `sample_batch` to the proposal surface."""
+    """A conditional density as the importance-sampling proposal.
+
+    The density supplies `sample_batch(xs, rng, count)` and is evaluated
+    the way `rank_statistics` evaluates the posterior: each observation is
+    embedded once and its embedding repeated over its draws.
+    """
 
     def __init__(self, density):
         self.density = density
@@ -119,19 +108,22 @@ class DensityProposal:
         return self.density.sample_batch(xs, rng, count)
 
     def log_density_rows(self, thetas, xs):
-        return self.density.log_density(thetas, xs)
+        """Constant log densities of the n * L draw rows, L consecutive per x."""
+        count, rest = divmod(len(thetas), len(xs))
+        if rest:
+            raise ValueError(f"{len(thetas)} draw rows do not split evenly over "
+                             f"{len(xs)} observations")
+        model = _graph_surface(self.density)
+        with no_grad():
+            emb = repeat_rows(model.embed_graph(Value(xs)), count)
+            return model.log_density_graph(Value(thetas), emb).data[:, 0]
 
 
-def resolve_proposal(proposal, prior=None):
-    if proposal == "prior" or proposal is None:
-        if prior is None:
-            raise ValueError("proposal 'prior' requires the problem prior")
-        return PriorProposal(prior)
-    if isinstance(proposal, Prior):
-        return PriorProposal(proposal)
-    if isinstance(proposal, (PriorProposal, DensityProposal)):
-        return proposal
-    return DensityProposal(proposal)
+class PriorProposal(DensityProposal):
+    """`DensityProposal(PriorPosterior(prior))`: draws and densities ignore x."""
+
+    def __init__(self, prior):
+        super().__init__(PriorPosterior(prior))
 
 
 def _graph_surface(posterior):
@@ -171,9 +163,10 @@ def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
 
 
 def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
-                    temperature=1.0, prior=None, nominal=None):
+                    temperature=1.0, nominal=None):
     """Batched differentiable rank statistics (one per (theta, x) row).
 
+    `proposal` is a `DensityProposal` (the prior: `PriorProposal(prior)`).
     `nominal` is the (embedding Value, nominal log density Value) pair of a
     forward pass the caller has already made on these rows, as a training
     step's base loss has; without it both are computed here. The embedding
@@ -183,7 +176,6 @@ def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    proposal = resolve_proposal(proposal, prior)
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     n = thetas.shape[0]
@@ -195,23 +187,13 @@ def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
     emb, lp_star = nominal
     draws = proposal.sample_batch(xs, rng, num_samples)                # (n, L, d)
     flat = draws.reshape(n * num_samples, thetas.shape[1])
-    x_rep = np.repeat(xs, num_samples, axis=0)
-    log_prop = proposal.log_density_rows(flat, x_rep).reshape(n, num_samples)
+    log_prop = proposal.log_density_rows(flat, xs).reshape(n, num_samples)
     lp_draws = model.log_density_graph(
         Value(flat), repeat_rows(emb, num_samples)).reshape(n, num_samples)
     alpha, weight_sums, degenerate = rank_statistic_core(
         lp_star, lp_draws, log_prop, temperature)
-    return RankStatisticBatch(values=alpha, num_samples=num_samples,
-                              weight_sums=weight_sums, degenerate=degenerate)
-
-
-def _alpha_column(batch):
-    values = batch.values if isinstance(batch, RankStatisticBatch) else batch
-    if not isinstance(values, Value):
-        values = Value(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-    if values.data.ndim == 1:
-        values = values.reshape(values.data.shape[0], 1)
-    return values
+    return RankStatisticBatch(values=alpha, weight_sums=weight_sums,
+                              degenerate=degenerate)
 
 
 def soft_sort(values, strength):
@@ -230,13 +212,13 @@ def soft_sort(values, strength):
     return straight_through(hard, weights @ values)
 
 
-def sorting_loss(batch, mode="calibration", sort_relaxation=0.0):
+def sorting_loss(values, mode="calibration", sort_relaxation=0.0):
     """Mean squared gap between sorted rank statistics and the i/N grid.
 
-    Calibration penalizes both directions; conservative rectifies first so
-    sorted values that dominate their targets cost nothing.
+    `values` is the (n, 1) Value of rank statistics. Calibration penalizes
+    both directions; conservative rectifies first so sorted values that
+    dominate their targets cost nothing.
     """
-    values = _alpha_column(batch)
     n = values.data.shape[0]
     if n < 2:
         raise ValueError(f"sorting loss needs a batch of >= 2, got {n}")
@@ -254,15 +236,14 @@ def sorting_loss(batch, mode="calibration", sort_relaxation=0.0):
     return gap.square().mean()
 
 
-def direct_loss(batch, levels=DEFAULT_LEVELS, mode="calibration", temperature=1.0):
+def direct_loss(values, levels=DEFAULT_LEVELS, mode="calibration", temperature=1.0):
     """Squared ECDF-vs-level gaps at fixed levels, straight-through ECDF.
 
-    F_N(a_k) counts rank statistics <= a_k; calibration sums (F_N - a_k)^2
-    over levels, conservative rectifies so only an ECDF sitting above the
-    level (overconfidence) is penalized. All K levels are one (n, K)
-    indicator.
+    F_N(a_k) counts the (n, 1) rank statistics `values` <= a_k; calibration
+    sums (F_N - a_k)^2 over levels, conservative rectifies so only an ECDF
+    sitting above the level (overconfidence) is penalized. All K levels are
+    one (n, K) indicator.
     """
-    values = _alpha_column(batch)
     levels = np.asarray(levels, dtype=np.float64).reshape(1, -1)
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise ValueError(f"levels must lie strictly inside (0,1), got {levels[0]}")
@@ -275,23 +256,24 @@ def direct_loss(batch, levels=DEFAULT_LEVELS, mode="calibration", temperature=1.
     return gap.square().sum()
 
 
-def regularizer(posterior, thetas, xs, config, rng, prior=None, nominal=None):
+def regularizer(posterior, thetas, xs, config, rng, prior, nominal=None):
     """Regularizer loss over a batch, per the training-time recipe.
 
-    `nominal` passes the base loss's (embedding, nominal log density) on to
+    The rank statistics draw from `prior`. `nominal` passes the base loss's (embedding, nominal log density) on to
     `rank_statistics`. Returns (loss Value, RankStatisticBatch); the batch
     carries degeneracy counts so the trainer can surface warnings.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape[0] < 2:
         raise ValueError("regularizer needs a batch of >= 2 pairs")
-    proposal = resolve_proposal(config.proposal, prior)
     batch = rank_statistics(posterior, thetas, xs, config.num_samples,
-                            proposal, rng, config.temperature, nominal=nominal)
+                            PriorProposal(prior), rng, config.temperature,
+                            nominal=nominal)
     if config.loss_form == "sorting":
-        loss = sorting_loss(batch, config.mode, config.sort_relaxation)
+        loss = sorting_loss(batch.values, config.mode, config.sort_relaxation)
     else:
-        loss = direct_loss(batch, config.levels, config.mode, config.temperature)
+        loss = direct_loss(batch.values, config.levels, config.mode,
+                           config.temperature)
     return loss, batch
 
 

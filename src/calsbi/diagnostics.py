@@ -74,6 +74,7 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
                           chunk=None):
     """Hard-indicator rank statistics for every test pair, chunk-vectorized.
 
+    `proposal` is a `covreg.DensityProposal`, e.g. `PriorProposal(prior)`.
     The chunk defaults to roughly 32k density rows per slice, which keeps
     the intermediate arrays cache-friendly.
     """
@@ -97,7 +98,7 @@ def curve_from_rank_statistics(alphas, levels, num_samples=None):
     """ECP(level) = fraction of rank statistics >= 1 - level."""
     alphas = np.asarray(alphas, dtype=np.float64)
     levels = np.asarray(levels, dtype=np.float64)
-    ecp = np.array([np.mean(alphas >= 1.0 - lev) for lev in levels])
+    ecp = np.mean(alphas.reshape(1, -1) >= 1.0 - levels.reshape(-1, 1), axis=1)
     return CoverageCurve(levels, ecp, alphas.size, "rank-based", num_samples)
 
 

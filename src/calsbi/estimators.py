@@ -104,15 +104,6 @@ class Prior:
         return z.square().sum(axis=1, keepdims=True) * (-0.5) + self._log_const
 
 
-class PosteriorDensity:
-    """Shared surface: log_density on paired rows plus a normalization flag."""
-
-    normalized = False
-
-    def log_density(self, theta, x):
-        raise NotImplementedError
-
-
 class Mlp:
     """Dense SELU network; parameters named `{prefix}.w{i}` / `{prefix}.b{i}`."""
 
@@ -136,7 +127,7 @@ class Mlp:
         return v
 
 
-class NetworkPosterior(PosteriorDensity):
+class NetworkPosterior:
     """The surface both trained models share.
 
     A subclass builds `x_net`, the observation embedding, and defines
@@ -303,8 +294,11 @@ class NpeFlow(NetworkPosterior):
         return flat.reshape(n, count, self.dim_theta)
 
 
-class PriorPosterior(PosteriorDensity):
-    """The prior presented as a posterior (ignores the observation)."""
+class PriorPosterior:
+    """The prior as a density of theta given x (ignores the observation).
+
+    Also the proposal `covreg.PriorProposal` draws from and evaluates.
+    """
 
     normalized = True
     method = "prior"
@@ -321,7 +315,7 @@ class PriorPosterior(PosteriorDensity):
         return self.prior.sample(rng, n * count).reshape(n, count, self.dim_theta)
 
 
-class GaussianLinearPosterior(PosteriorDensity):
+class GaussianLinearPosterior:
     """Conjugate posterior for x = theta + noise under a standard normal prior.
 
     Per dimension: N(x / (1 + sigma^2), sigma^2 / (1 + sigma^2)), optionally
@@ -362,26 +356,21 @@ class GaussianLinearPosterior(PosteriorDensity):
 
 
 class ConstantGraphDensity:
-    """Wrap a numpy-only density so regularizer code can treat it as a graph model.
+    """Wrap a numpy-only density so rank-statistic code can treat it as a graph model.
 
-    Outputs are constant Values: usable for forward-value tests, no parameter
-    gradients (there are none).
+    The "embedding" is the observation itself. Outputs are constant Values
+    without parameter gradients (there are none), whether the density is the
+    audited posterior or the proposal.
     """
 
     def __init__(self, density):
         self.density = density
-        self.normalized = density.normalized
-        self._x = None
 
     def embed_graph(self, x):
-        self._x = x.data
         return Value(x.data)
 
     def log_density_graph(self, theta, x_emb):
         return Value(self.density.log_density(theta.data, x_emb.data).reshape(-1, 1))
-
-    def parameters(self):
-        return {}
 
 
 def build_model(method, prior, dim_x, arch, rng=None):

@@ -98,6 +98,13 @@ def get_problem(problem_id, **kwargs):
     return _REGISTRY[problem_id](**kwargs)
 
 
+def problem_for_dataset(ds):
+    """The problem a dataset was drawn from, sized to its parameter dimension."""
+    if ds.problem_id == "gaussian-linear":
+        return get_problem("gaussian-linear", dim=ds.dim_theta)
+    return get_problem(ds.problem_id)
+
+
 # -- datasets -----------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from . import covreg
 from .autodiff import Value
 from .estimators import Prior, build_model
 from .optim import AdamW, clip_grad_norm
-from .problems import BoundedReader
+from .problems import BoundedReader, problem_for_dataset
 
 CHECKPOINT_MAGIC = b"CALC"
 CHECKPOINT_VERSION = 1
@@ -168,7 +168,7 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
     The base loss runs first and hands its embedding and nominal log density
     to the regularizer (`reg`, None for none), so the batch is embedded
     once. Then backward, global-norm clipping and AdamW. `rngs` is (negative
-    pairing, proposal draws). A non-finite loss, density or gradient raises
+    pairing, prior draws). A non-finite loss, density or gradient raises
     TrainAbort at (epoch, batch). Returns (base, regularizer, total,
     pre-clip gradient norm, degenerate rows).
     """
@@ -203,17 +203,13 @@ def _split(dataset, fraction):
 
 def train(config, dataset, problem=None, out_dir=None):
     """Run the full loop; returns the trained model, report, and best params."""
-    from .problems import get_problem
-
     if dataset.problem_id != config.problem_id:
         raise ValueError(f"dataset problem {dataset.problem_id!r} does not match "
                          f"config problem {config.problem_id!r}")
     if dataset.count < config.batch_size:
         raise ValueError("training budget smaller than one batch")
     if problem is None:
-        problem = get_problem(config.problem_id)
-        if problem.dim_theta != dataset.dim_theta:
-            problem = get_problem(config.problem_id, dim=dataset.dim_theta)
+        problem = problem_for_dataset(dataset)
     ss = np.random.SeedSequence(config.seed)
     rng_init, rng_shuffle, rng_reg, rng_neg = [np.random.default_rng(c)
                                                for c in ss.spawn(4)]
@@ -286,17 +282,12 @@ def train(config, dataset, problem=None, out_dir=None):
 
 
 def _config_blob(config, prior, dim_x):
-    cfg = asdict(config) if isinstance(config, TrainConfig) else dict(config)
-    if isinstance(cfg.get("reg"), covreg.RegConfig):
-        cfg["reg"] = asdict(cfg["reg"])
-    if cfg.get("reg") and not isinstance(cfg["reg"].get("proposal", "prior"), str):
-        cfg["reg"]["proposal"] = type(cfg["reg"]["proposal"]).__name__
     prior_spec = {"kind": prior.kind, "dim": prior.dim}
     if prior.kind == "uniform-box":
         prior_spec.update(low=prior.low.tolist(), high=prior.high.tolist())
     else:
         prior_spec.update(mean=prior.mean.tolist(), scale=prior.scale.tolist())
-    return {"train": cfg, "prior": prior_spec, "dim_x": dim_x}
+    return {"train": asdict(config), "prior": prior_spec, "dim_x": dim_x}
 
 
 def _blob_entry(path, mapping, key):
@@ -403,10 +394,8 @@ def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
     the minimum over `repeats` windows is reported (the low-noise timing
     estimator). Returns a list of (count, seconds_per_step).
     """
-    from .problems import get_problem
-
     if problem is None:
-        problem = get_problem(config.problem_id)
+        problem = problem_for_dataset(dataset)
     rows = []
     for count in sample_counts:
         timings = []

@@ -175,8 +175,7 @@ def test_criterion_06_gradient_integrity():
     proposal = covreg.PriorProposal(problem.prior)
     draws = proposal.sample_batch(ds.xs, np.random.default_rng(9), L)
     flat = draws.reshape(-1, 2)
-    x_rep = np.repeat(ds.xs, L, axis=0)
-    log_prop = proposal.log_density_rows(flat, x_rep).reshape(6, L)
+    log_prop = proposal.log_density_rows(flat, ds.xs).reshape(6, L)
 
     def densities():
         emb = flow.embed(ds.xs)

@@ -1,0 +1,78 @@
+"""The names the benchmark reaches in calsbi still resolve.
+
+`perfbench/spans.py` wraps calsbi functions and methods by attribute name,
+and `perfbench/job.py` replays `calsbi train` and `calsbi eval` through cli
+helpers. A renamed or deleted name fails here, not only in a benchmark run.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from calsbi import cli, covreg
+from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+
+def _calsbi_bindings():
+    """Every (module, name) binding and every class attribute in calsbi."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "calsbi" and not name.startswith("calsbi."):
+            continue
+        for key, value in vars(mod).items():
+            out[(name, key)] = value
+            if isinstance(value, type) and value.__module__.startswith("calsbi"):
+                for attr in dir(value):
+                    if not attr.startswith("__"):
+                        out[(name, key, attr)] = inspect.getattr_static(value, attr)
+    return out
+
+
+def _own_attributes():
+    classes = {v for k, v in _calsbi_bindings().items() if len(k) == 2
+               and isinstance(v, type) and v.__module__.startswith("calsbi")}
+    return {cls: set(vars(cls)) for cls in classes}
+
+
+def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
+    before = _calsbi_bindings()
+    own = _own_attributes()
+    rec = spans.Recorder()
+    uninstall = spans.install(rec)
+    try:
+        for cls in (covreg.PriorProposal, covreg.DensityProposal):
+            for attr in ("sample_batch", "log_density_rows"):
+                assert getattr(cls, attr) is not before[("calsbi.covreg", cls.__name__, attr)]
+        for attr in ("regularizer", "rank_statistics", "rank_statistic_core",
+                     "sorting_loss", "direct_loss"):
+            assert getattr(covreg, attr) is not before[("calsbi.covreg", attr)]
+        # one regularizer call runs every covreg wrapper, including the one
+        # that reads `.size` and `.degenerate_count` off the rank statistics
+        problem = get_problem("gaussian-linear")
+        ds = simulate_dataset(problem, 8, seed=0)
+        covreg.regularizer(analytic_posterior(problem), ds.thetas, ds.xs,
+                           covreg.RegConfig(num_samples=4),
+                           np.random.default_rng(0), problem.prior)
+    finally:
+        uninstall()
+        after = _calsbi_bindings()
+        # uninstall sets an inherited method back as the subclass's own
+        # attribute; drop those copies so later tests see the classes as defined
+        for cls, names in own.items():
+            for attr in set(vars(cls)) - names:
+                delattr(cls, attr)
+    assert {"covreg.regularizer", "covreg.rank_statistics", "covreg.proposal",
+            "covreg.rank_core", "covreg.sort_loss"} <= set(rec.names)
+    changed = [k for k in before if after.get(k) is not before[k]]
+    assert changed == []
+
+
+def test_cli_helpers_the_benchmark_job_calls_exist():
+    for name in ("_reg_config_from", "_metrics_for_curve", "problem_for_dataset",
+                 "write_manifest", "build_parser"):
+        assert callable(getattr(cli, name)), name

@@ -217,3 +217,19 @@ def test_config_file_provides_defaults_flags_win(data_file, tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "reg=conservative" in manifest   # flag wins over config
     assert "epochs=1" in manifest           # config supplies the default
+
+
+def test_config_flag_without_a_path_exits_two(capsys):
+    assert run(["--config"]) == 2
+    assert "--config needs a file path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["epochs=abc", "epochs=0"])
+def test_config_value_of_the_wrong_type_exits_two(data_file, tmp_path, capsys, line):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(line + "\n")
+    code = run(["--config", str(cfg), "train", "--method", "npe",
+                "--data", data_file, "--out-dir", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "epochs=" in err

@@ -10,10 +10,11 @@ from calsbi.covreg import (RegConfig, direct_loss, rank_statistic_core, rank_sta
                            rank_statistics, regularizer, sorting_loss,
                            ste_indicator)
 from calsbi.diagnostics import rank_statistic_sample
-from calsbi.estimators import GaussianLinearPosterior, Prior, PriorPosterior
+from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, Prior,
+                               PriorPosterior)
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
-from conftest import assert_close_rel, finite_difference
+from conftest import RowCounter, assert_close_rel, finite_difference
 from surrogate_twin import RegularizerTwin
 
 
@@ -53,21 +54,21 @@ class StdNormal1D:
 
 
 def test_alpha_is_one_when_target_density_dominates():
-    prop = Prior.uniform_box([-3.0], [3.0])
+    prop = covreg.PriorProposal(Prior.uniform_box([-3.0], [3.0]))
     (a,) = rank_statistic_sample(QuadraticDensity(), [[0.0]], [[0.0]], 64, prop,
                                  np.random.default_rng(0))
     assert a == 1.0
 
 
 def test_alpha_is_zero_when_target_density_is_smallest():
-    prop = Prior.uniform_box([-3.0], [3.0])
+    prop = covreg.PriorProposal(Prior.uniform_box([-3.0], [3.0]))
     (a,) = rank_statistic_sample(QuadraticDensity(), [[10.0]], [[0.0]], 64, prop,
                                  np.random.default_rng(0))
     assert a == 0.0
 
 
 def test_alpha_matches_analytic_tail_mass_for_standard_normal():
-    prop = Prior.uniform_box([-6.0], [6.0])
+    prop = covreg.PriorProposal(Prior.uniform_box([-6.0], [6.0]))
     (a,) = rank_statistic_sample(StdNormal1D(), [[1.0]], [[0.0]], 100_000, prop,
                                  np.random.default_rng(0))
     expected = 2.0 * (1.0 - phi(1.0))  # mass where density is below density(1)
@@ -75,20 +76,20 @@ def test_alpha_matches_analytic_tail_mass_for_standard_normal():
 
 
 def test_degenerate_weights_yield_zero_and_are_flagged():
-    prop = Prior.uniform_box([-1.0], [1.0])
+    prop = covreg.PriorProposal(Prior.uniform_box([-1.0], [1.0]))
     batch = rank_statistics(VanishingDensity(), np.zeros((4, 1)), np.zeros((4, 1)),
                             8, prop, np.random.default_rng(0))
     np.testing.assert_array_equal(batch.values.data[:, 0], 0.0)
     assert batch.degenerate_count == 4
-    assert batch.degenerate_fraction == 1.0
 
 
 def test_alpha_always_in_unit_interval():
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)
     ds = simulate_dataset(problem, 200, seed=11)
-    batch = rank_statistics(oracle, ds.thetas, ds.xs, 8, "prior",
-                            np.random.default_rng(1), prior=problem.prior)
+    batch = rank_statistics(oracle, ds.thetas, ds.xs, 8,
+                            covreg.PriorProposal(problem.prior),
+                            np.random.default_rng(1))
     a = batch.values.data[:, 0]
     assert np.all((a >= 0.0) & (a <= 1.0))
 
@@ -120,7 +121,7 @@ def test_full_pipeline_scale_invariance_to_double_precision():
         def log_density(self, theta, x):
             return self.base.log_density(theta, x) + self.log_c
 
-    prop = Prior.uniform_box([-6.0], [6.0])
+    prop = covreg.PriorProposal(Prior.uniform_box([-6.0], [6.0]))
     base = StdNormal1D()
     for log_c in (-300.0, -7.3, 11.1, 250.0):
         (a0,) = rank_statistic_sample(base, [[0.7]], [[0.0]], 256, prop,
@@ -134,12 +135,11 @@ def test_forward_value_independent_of_temperature():
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)
     ds = simulate_dataset(problem, 64, seed=3)
-    a1 = rank_statistics(oracle, ds.thetas, ds.xs, 16, "prior",
-                         np.random.default_rng(7), temperature=1.0,
-                         prior=problem.prior)
-    a100 = rank_statistics(oracle, ds.thetas, ds.xs, 16, "prior",
-                           np.random.default_rng(7), temperature=100.0,
-                           prior=problem.prior)
+    proposal = covreg.PriorProposal(problem.prior)
+    a1 = rank_statistics(oracle, ds.thetas, ds.xs, 16, proposal,
+                         np.random.default_rng(7), temperature=1.0)
+    a100 = rank_statistics(oracle, ds.thetas, ds.xs, 16, proposal,
+                           np.random.default_rng(7), temperature=100.0)
     np.testing.assert_array_equal(a1.values.data, a100.values.data)
 
 
@@ -159,6 +159,61 @@ def test_uniform_convergence_in_sample_count():
                                        chunk=256)
         ks[count] = ks_statistic(alphas)
     assert ks[256] < ks[8]
+
+
+# -- proposals -------------------------------------------------------------------
+
+
+def test_flow_proposal_embeds_each_observation_once():
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 32, seed=12)
+    flow = NpeFlow(2, 2, hidden=8, embed_dim=4, rng=np.random.default_rng(1),
+                   last_scale=0.3)
+    posterior = NpeFlow(2, 2, hidden=8, embed_dim=4, rng=np.random.default_rng(2))
+    counter = RowCounter(flow)
+    rank_statistic_sample(posterior, ds.thetas, ds.xs, 64,
+                          covreg.DensityProposal(flow), np.random.default_rng(3))
+    # 32 rows for the draws and 32 for their densities, not 32 + 32 * 64
+    assert counter.embed_rows == 64
+    assert counter.density_rows == 32 * 64
+
+
+def test_density_proposal_equals_the_density_on_repeated_rows():
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 16, seed=13)
+    flow = NpeFlow(2, 2, hidden=8, embed_dim=4, rng=np.random.default_rng(1),
+                   last_scale=0.3)
+    for density in (flow, analytic_posterior(problem)):
+        proposal = covreg.DensityProposal(density)
+        flat = proposal.sample_batch(ds.xs, np.random.default_rng(4), 8).reshape(-1, 2)
+        np.testing.assert_array_equal(
+            proposal.log_density_rows(flat, ds.xs),
+            density.log_density(flat, np.repeat(ds.xs, 8, axis=0)))
+    with pytest.raises(ValueError, match="evenly"):
+        proposal.log_density_rows(flat[:-1], ds.xs)
+
+
+def test_prior_proposal_density_is_the_prior_density():
+    prior = Prior.uniform_box([-1.0, 0.0], [1.0, 2.0])
+    thetas = np.random.default_rng(5).uniform(-1.5, 2.5, (24, 2))
+    expected = prior.log_density(thetas)
+    assert np.isneginf(expected).any() and np.isfinite(expected).any()
+    got = covreg.PriorProposal(prior).log_density_rows(thetas, np.zeros((6, 3)))
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_prior_proposal_is_the_prior_posterior():
+    prior = Prior.uniform_box([-1.0, 0.0], [1.0, 2.0])
+    xs = np.random.default_rng(6).standard_normal((5, 2))
+    proposal = covreg.PriorProposal(prior)
+    reference = PriorPosterior(prior)
+    draws = proposal.sample_batch(xs, np.random.default_rng(7), 9)
+    np.testing.assert_array_equal(
+        draws, reference.sample_batch(xs, np.random.default_rng(7), 9))
+    flat = draws.reshape(-1, 2)
+    np.testing.assert_array_equal(
+        proposal.log_density_rows(flat, xs),
+        reference.log_density(flat, np.repeat(xs, 9, axis=0)))
 
 
 # -- straight-through indicator ---------------------------------------------------

@@ -35,6 +35,17 @@ def test_ecp_counting_example():
     assert curve.ecp[0] == 0.5
 
 
+def test_rank_curve_equals_per_level_reference():
+    rng = np.random.default_rng(8)
+    # ties at the level edges, exact 0 and 1, and a continuous sample
+    alphas = np.concatenate([1.0 - np.asarray(DEFAULT_EVAL_LEVELS), [0.0, 1.0],
+                             rng.uniform(0.0, 1.0, 997)])
+    for levels in (DEFAULT_EVAL_LEVELS, [0.5], np.linspace(0.01, 0.99, 99)):
+        curve = curve_from_rank_statistics(alphas, levels)
+        expected = [np.mean(alphas >= 1.0 - lev) for lev in levels]
+        np.testing.assert_array_equal(curve.ecp, expected)
+
+
 def test_rank_based_ecp_on_oracle_close_to_diagonal():
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)

@@ -150,8 +150,7 @@ def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
                          nominal=None):
         n = thetas.shape[0]
         batch = covreg.RankStatisticBatch(
-            values=Value(np.zeros((n, 1))), num_samples=config.num_samples,
-            weight_sums=np.zeros(n),
+            values=Value(np.zeros((n, 1))), weight_sums=np.zeros(n),
             degenerate=np.ones(n, dtype=bool))
         return Value(np.zeros(1)), batch
 
@@ -206,6 +205,23 @@ def test_regularized_npe_step_embeds_the_batch_once():
     assert counter.embed_rows == ds.count
     # nominal rows once, plus the n * L proposal draws
     assert counter.density_rows == ds.count * (1 + reg.num_samples)
+
+
+@pytest.mark.parametrize("method", ["npe", "nre"])
+def test_regularized_step_draws_from_the_prior(method, monkeypatch):
+    problem, ds, model, reg = _step_setup(method)
+    sizes = []
+    real_sample = problem.prior.sample
+
+    def recording(rng, count):
+        sizes.append(count)
+        return real_sample(rng, count)
+
+    monkeypatch.setattr(problem.prior, "sample", recording)
+    trainer.train_step(model, AdamW(model.parameters()), ds.thetas, ds.xs, reg,
+                       5.0, (np.random.default_rng(0), np.random.default_rng(1)),
+                       problem.prior)
+    assert sizes == [ds.count * reg.num_samples]
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
@@ -426,3 +442,11 @@ def test_overhead_rows_cover_requested_counts(gl_dataset):
                                  steps=3, repeats=1)
     assert [r[0] for r in rows] == [1, 4]
     assert all(r[1] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("method", ["npe", "nre"])
+def test_overhead_probe_sizes_the_problem_to_a_1d_dataset(method):
+    ds = simulate_dataset(get_problem("gaussian-linear", dim=1), 64, seed=4)
+    rows = measure_step_overhead(small_config(method=method, batch_size=32), ds,
+                                 sample_counts=(2,), steps=1, repeats=1)
+    assert [r[0] for r in rows] == [2]
