@@ -281,15 +281,28 @@ def build_parser():
 def _apply_config_file(parser, argv):
     """Turn the --config file's key=value lines into parser defaults.
 
-    A missing path or a value its flag's type rejects raises ValueError
-    naming the file and the key.
+    The file is named by `--config PATH` or `--config=PATH`; a key is a
+    flag's name (`lambda`, `weight-decay`) or its destination (`weight`).
+    A missing path, a key that names no flag of any command, or a value its
+    flag's type rejects raises ValueError naming the file and the key.
     """
-    if "--config" not in argv:
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            path = argv[idx + 1] if idx + 1 < len(argv) else ""
+            break
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
+    if not path:
         raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    dests = {}
+    for action in (a for sp in subparsers for a in sp._actions):
+        if action.dest != "help":
+            for name in (action.dest, *action.option_strings):
+                dests[name.lstrip("-").replace("-", "_")] = action.dest
     defaults = {}
     with open(path) as f:
         for line in f:
@@ -297,8 +310,11 @@ def _apply_config_file(parser, argv):
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, value = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    for subparser in parser._subparsers._group_actions[0].choices.values():
+            key = key.strip().replace("-", "_")
+            if key not in dests:
+                raise ValueError(f"config file {path}: unknown key {key!r}")
+            defaults[dests[key]] = value.strip()
+    for subparser in subparsers:
         typed = {}
         for action in subparser._actions:
             if action.dest not in defaults:

@@ -127,8 +127,9 @@ def _softplus(v):
 def nre_base_loss(model, thetas, xs, rng):
     """Binary cross-entropy: joint pairs against in-batch shuffled negatives.
 
-    Returns (loss, (embedding, nominal log density)); the pair is the
-    forward pass the regularizer reuses.
+    Returns (loss, nominal), where nominal() builds the (embedding,
+    nominal log density) pair the regularizer reuses; a plain step never
+    calls it, so it never builds the prior's log density.
     """
     n = thetas.shape[0]
     if n < 2:
@@ -138,24 +139,25 @@ def nre_base_loss(model, thetas, xs, rng):
     logit_pos = model.logit_graph(theta, emb)
     logit_neg = model.logit_graph(Value(thetas[derangement(n, rng)]), emb)
     loss = (_softplus(-logit_pos).mean() + _softplus(logit_neg).mean()) * 0.5
-    return loss, (emb, model.prior.log_density_graph(theta) + logit_pos)
+    return loss, lambda: (emb, model.prior.log_density_graph(theta) + logit_pos)
 
 
 def npe_base_loss(flow, thetas, xs):
     """Negative mean log density of the nominal parameters.
 
-    Returns (loss, (embedding, nominal log density)), as `nre_base_loss`.
+    Returns (loss, nominal), as `nre_base_loss`.
     """
     emb = flow.embed_graph(Value(xs))
     ld = flow.log_density_graph(Value(thetas), emb)
     bad = np.where(~np.isfinite(ld.data[:, 0]))[0]
     if bad.size:
         raise FloatingPointError(f"non-finite log density at sample index {bad[0]}")
-    return -ld.mean(), (emb, ld)
+    return -ld.mean(), lambda: (emb, ld)
 
 
 def base_loss(model, thetas, xs, rng):
-    """(loss, (embedding, nominal log density)) of the method's base loss."""
+    """(loss, nominal) of the method's base loss; nominal() gives the
+    (embedding, nominal log density) pair of its forward pass."""
     if model.method == "nre":
         return nre_base_loss(model, thetas, xs, rng)
     return npe_base_loss(model, thetas, xs)
@@ -179,7 +181,7 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
         rval, degenerate = 0.0, 0
         if reg is not None:
             rloss, rbatch = covreg.regularizer(model, thetas, xs, reg, rng_reg,
-                                               prior=prior, nominal=nominal)
+                                               prior=prior, nominal=nominal())
             total = base + rloss * reg.weight
             rval, degenerate = float(rloss.data[0]), rbatch.degenerate_count
         tval = float(total.data[0])

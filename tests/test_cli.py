@@ -224,6 +224,30 @@ def test_config_flag_without_a_path_exits_two(capsys):
     assert "--config needs a file path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["epochs=abc", "epoch=1"])
+@pytest.mark.parametrize("form", ["separate", "joined"])
+def test_config_file_with_a_bad_line_exits_two_in_either_flag_form(
+        tmp_path, capsys, line, form):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    flag = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+    out = tmp_path / "x.sbid"
+    assert run(flag + ["simulate", "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and line.split("=")[0] in err
+    assert not out.exists()
+
+
+def test_config_keys_may_be_flag_names(data_file, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("method=npe\nepochs=1\nbatch=64\nlambda=2\nL=4\n")
+    out = tmp_path / "r"
+    assert run([f"--config={cfg}", "train", "--data", data_file,
+                "--out-dir", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "lambda=2.0" in manifest and "L=4" in manifest
+
+
 @pytest.mark.parametrize("line", ["epochs=abc", "epochs=0"])
 def test_config_value_of_the_wrong_type_exits_two(data_file, tmp_path, capsys, line):
     cfg = tmp_path / "train.cfg"

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from calsbi import covreg
+from calsbi import covreg, diagnostics
 from calsbi.diagnostics import (DEFAULT_EVAL_LEVELS, CoverageCurve,
                                 calibration_error, conservativeness_error,
                                 coverage_auc, curve_from_rank_statistics,
@@ -224,6 +225,52 @@ def test_coverage_statistics_do_not_depend_on_chunk_size(nonlinear_models, which
         np.testing.assert_allclose(a, alphas[0], rtol=0, atol=1e-12)
     for g in grids[1:]:
         np.testing.assert_allclose(g, grids[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["npe", "nre"])
+def test_row_blocks_that_split_pairs_leave_coverage_statistics_unchanged(
+        nonlinear_models, monkeypatch, method):
+    problem = get_problem("nonlinear-2d")
+    model = nonlinear_models[method]
+    ds = simulate_dataset(problem, 20, seed=41)
+    proposal = covreg.PriorProposal(problem.prior)
+
+    def statistics():
+        alphas = rank_statistic_sample(model, ds.thetas, ds.xs, 64, proposal,
+                                       np.random.default_rng(7))
+        grid = ecp_grid_hpdr(model, ds.thetas, ds.xs, problem, levels=LEVELS,
+                             resolution=64)
+        return alphas, grid.ecp
+
+    default = statistics()
+    # 1,000 rows split every 64^2 = 4,096-row pair grid unevenly
+    monkeypatch.setattr(diagnostics, "_ROW_BLOCK", 1000)
+    rows = []
+    density = model.log_density_graph
+
+    def recording(theta, x_emb):
+        rows.append(theta.data.shape[0])
+        return density(theta, x_emb)
+
+    monkeypatch.setattr(model, "log_density_graph", recording)
+    blocked = statistics()
+    assert max(rows) <= 1000
+    np.testing.assert_array_equal(blocked[0], default[0])
+    np.testing.assert_array_equal(blocked[1], default[1])
+
+
+def test_grid_hpdr_on_a_flow_pair_at_512_has_a_bounded_peak(nonlinear_models):
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 1, seed=42)
+    tracemalloc.start()
+    try:
+        ecp_grid_hpdr(nonlinear_models["npe"], ds.thetas, ds.xs, problem,
+                      resolution=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one pass over all 262,144 grid rows would hold 32 MB per hidden layer
+    assert peak < 24 * 2 ** 20
 
 
 def test_hpdr_interval_of_standard_normal_is_central():

@@ -224,6 +224,24 @@ def test_regularized_step_draws_from_the_prior(method, monkeypatch):
     assert sizes == [ds.count * reg.num_samples]
 
 
+def test_plain_nre_step_never_builds_the_prior_log_density(monkeypatch):
+    problem, ds, model, reg = _step_setup("nre")
+    calls = []
+    real = problem.prior.log_density_graph
+
+    def recording(theta):
+        calls.append(theta.data.shape[0])
+        return real(theta)
+
+    monkeypatch.setattr(problem.prior, "log_density_graph", recording)
+    rngs = (np.random.default_rng(0), np.random.default_rng(1))
+    opt = AdamW(model.parameters())
+    trainer.train_step(model, opt, ds.thetas, ds.xs, None, 5.0, rngs, problem.prior)
+    assert calls == []
+    trainer.train_step(model, opt, ds.thetas, ds.xs, reg, 5.0, rngs, problem.prior)
+    assert ds.count in calls      # the regularized step does read it
+
+
 @pytest.mark.parametrize("method", ["npe", "nre"])
 def test_shared_forward_step_gradients_match_separate_calls(method):
     problem, ds, model, reg = _step_setup(method)
