@@ -75,10 +75,6 @@ class Value:
     def __repr__(self):
         return f"Value(shape={self.data.shape}, op={self._op!r})"
 
-    def detach(self):
-        """A constant copy sharing this node's data, cut from the graph."""
-        return Value(self.data)
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import __version__, covreg, diagnostics, svgplot, trainer
-from .problems import (analytic_posterior, load_dataset, mixture_demo_densities,
+from .problems import (load_dataset, mixture_demo_densities, oracle_posterior,
                        problem_for_dataset, simulate_dataset)
 
 EXIT_OK = 0
@@ -104,21 +104,25 @@ def _metrics_for_curve(curve, metrics):
 
 def cmd_eval(args):
     start = time.perf_counter()
+    if args.oracle == bool(args.checkpoint):
+        print("error: pass exactly one of --checkpoint and --oracle", file=sys.stderr)
+        return EXIT_USAGE
+    levels = np.linspace(args.level_min, args.level_max, args.levels)
+    if not (0.0 <= levels[0] and levels[-1] <= 1.0 and np.all(np.diff(levels) > 0)):
+        print(f"error: levels must increase strictly within [0, 1]; got "
+              f"--level-min {args.level_min} --level-max {args.level_max} "
+              f"--levels {args.levels}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.sbc_bins < 2:
+        print(f"error: --sbc-bins must be >= 2, got {args.sbc_bins}", file=sys.stderr)
+        return EXIT_USAGE
     ds = load_dataset(args.data)
     problem = problem_for_dataset(ds)
     if args.oracle:
-        if problem.oracle_kind != "analytic":
-            print(f"error: problem {problem.id!r} has no analytic oracle; "
-                  f"--oracle unsupported here", file=sys.stderr)
-            return EXIT_USAGE
-        posterior = analytic_posterior(problem)
+        posterior = oracle_posterior(problem)
     else:
-        if not args.checkpoint:
-            print("error: --checkpoint required unless --oracle", file=sys.stderr)
-            return EXIT_USAGE
         posterior, _ = trainer.load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
-    levels = np.linspace(args.level_min, args.level_max, args.levels)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     proposal = covreg.PriorProposal(problem.prior)
 
@@ -253,7 +257,9 @@ def build_parser():
     p = sub.add_parser("eval", help="coverage and density diagnostics")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--oracle", action="store_true",
-                   help="evaluate the problem's analytic oracle instead")
+                   help="evaluate the problem's exact posterior instead: the "
+                        "closed form, or prior x likelihood up to a constant "
+                        "(expected_log_posterior_normalized = 0)")
     p.add_argument("--data", required=True)
     p.add_argument("--levels", type=positive_int, default=19)
     p.add_argument("--level-min", type=float, default=0.05)

@@ -2,8 +2,10 @@
 
 Every problem pairs a prior with a simulator of the form
 x = m(theta) + sigma * eps, so the likelihood is Gaussian around a known map
-and a brute-force grid posterior is available for dims <= 2. The registry is
-the single source of truth for all problem constants.
+and prior x likelihood is an exact oracle up to a constant per observation
+(`LikelihoodPosterior`); `oracle_posterior` prefers a closed form where one
+exists. The registry is the single source of truth for all problem
+constants.
 
 Problems:
   gaussian-linear  identity map, standard normal prior; conjugate posterior
@@ -15,7 +17,6 @@ Problems:
 Gaussian mixtures (0.7/0.3 weights).
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ class Problem:
     dim_x: int
     noise_sigma: float
     mean_fn: object             # theta rows -> observation means
-    oracle_kind: str = "grid"   # analytic | grid
 
     def simulate(self, thetas, rng, zero_noise=False):
         """Vectorized simulator x = m(theta) + sigma * eps."""
@@ -53,14 +53,6 @@ class Problem:
             return mean
         return mean + self.noise_sigma * rng.standard_normal(mean.shape)
 
-    def log_likelihood(self, x, thetas):
-        """log p(x | theta) for one observation x against theta rows."""
-        thetas = np.asarray(thetas, dtype=np.float64).reshape(-1, self.dim_theta)
-        z = (np.asarray(x, dtype=np.float64).reshape(1, self.dim_x)
-             - self.mean_fn(thetas)) / self.noise_sigma
-        return -0.5 * np.sum(z * z, axis=1) - self.dim_x * (
-            np.log(self.noise_sigma) + 0.5 * LOG_2PI)
-
 
 def gaussian_linear(dim=2):
     return Problem(
@@ -69,7 +61,6 @@ def gaussian_linear(dim=2):
         dim_theta=dim, dim_x=dim,
         noise_sigma=GAUSSIAN_LINEAR_SIGMA,
         mean_fn=lambda t: t.copy(),
-        oracle_kind="analytic",
     )
 
 
@@ -81,7 +72,6 @@ def nonlinear_2d():
         dim_theta=2, dim_x=2,
         noise_sigma=NONLINEAR_SIGMA,
         mean_fn=lambda t: np.stack([t[:, 0] ** 2, t[:, 0] * t[:, 1]], axis=1),
-        oracle_kind="grid",
     )
 
 
@@ -210,10 +200,65 @@ def simulate_dataset(problem, count, seed):
 
 def analytic_posterior(problem, scale_factor=1.0):
     """Conjugate Gaussian posterior; only the gaussian-linear problem has one."""
-    if problem.id != "gaussian-linear" or problem.oracle_kind != "analytic":
+    if problem.id != "gaussian-linear":
         raise ValueError(f"problem {problem.id!r} has no analytic posterior")
     return GaussianLinearPosterior(problem.noise_sigma, problem.dim_theta,
                                    scale_factor=scale_factor)
+
+
+class LikelihoodPosterior:
+    """Exact posterior of any problem up to a constant per x: prior x likelihood.
+
+    The log density is log p(theta) + log p(x | theta), -inf off a uniform
+    box. Both coverage statistics are invariant to rescaling the density for
+    a fixed x (the rank statistic self-normalizes, grid-HPDR normalizes over
+    the grid), so this is an exact oracle for both estimators.
+    """
+
+    normalized = False
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.dim_theta = problem.dim_theta
+
+    def _log_joint(self, log_prior, means, xs):
+        """Log prior plus the Gaussian log likelihood; arrays broadcast.
+
+        The squared distance is summed one x-dimension at a time as
+        ((x_d - m_d) / sigma)^2, which neither builds an (n, G, dim_x)
+        temporary nor cancels when x is near m, as |x|^2 - 2 x.m + |m|^2 does.
+        """
+        p = self.problem
+        sq = 0.0
+        for d in range(p.dim_x):
+            sq = sq + ((xs[..., d] - means[..., d]) / p.noise_sigma) ** 2
+        return log_prior - 0.5 * sq - p.dim_x * (np.log(p.noise_sigma)
+                                                 + 0.5 * LOG_2PI)
+
+    def log_density(self, theta, x):
+        """Log joint density of paired (theta, x) rows."""
+        theta = np.asarray(theta, dtype=np.float64).reshape(-1, self.dim_theta)
+        x = np.asarray(x, dtype=np.float64).reshape(-1, self.problem.dim_x)
+        return self._log_joint(self.problem.prior.log_density(theta),
+                               self.problem.mean_fn(theta), x)
+
+    def log_density_grid(self, grid, xs):
+        """(n_x, n_grid) log joint densities; prior and means once per call."""
+        grid = np.asarray(grid, dtype=np.float64).reshape(-1, self.dim_theta)
+        xs = np.asarray(xs, dtype=np.float64).reshape(-1, self.problem.dim_x)
+        return self._log_joint(self.problem.prior.log_density(grid)[None, :],
+                               self.problem.mean_fn(grid)[None], xs[:, None, :])
+
+
+def oracle_posterior(problem):
+    """The exact posterior `calsbi eval --oracle` audits.
+
+    The closed form where one exists (gaussian-linear), otherwise
+    `LikelihoodPosterior`, exact up to a constant per observation.
+    """
+    if problem.id == "gaussian-linear":
+        return analytic_posterior(problem)
+    return LikelihoodPosterior(problem)
 
 
 @dataclass
@@ -227,7 +272,6 @@ class GridLayout:
 
     bounds: list         # (lo, hi) per dimension
     resolution: int
-    centers: list        # cell centres per dimension
     points: np.ndarray   # (resolution ** dim, dim)
 
     @property
@@ -258,85 +302,7 @@ def grid_layout(problem, resolution):
                for lo, hi in bounds]
     points = np.stack([c.ravel() for c in np.meshgrid(*centers, indexing="ij")],
                       axis=1)
-    return GridLayout(bounds, resolution, centers, points)
-
-
-@dataclass
-class GridOracle:
-    """Brute-force normalized posterior on a regular grid (dim <= 2).
-
-    Cell masses sum to one; log_density interpolates cell-center log
-    densities (linear per dimension) and is -inf outside the grid.
-    """
-
-    bounds: list
-    resolution: int
-    centers: list
-    log_dens: np.ndarray     # grid of normalized log densities, shape (res,) or (res, res)
-    masses: np.ndarray       # same shape, sums to 1
-    x: np.ndarray
-    normalized: bool = field(default=True)
-
-    @property
-    def dim_theta(self):
-        return len(self.bounds)
-
-    def cell_volume(self):
-        vol = 1.0
-        for (lo, hi) in self.bounds:
-            vol *= (hi - lo) / self.resolution
-        return vol
-
-    def log_density(self, theta, x=None):
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1, self.dim_theta)
-        out = np.full(theta.shape[0], -np.inf)
-        inside = np.ones(theta.shape[0], dtype=bool)
-        coords = []
-        for d, (lo, hi) in enumerate(self.bounds):
-            inside &= (theta[:, d] >= lo) & (theta[:, d] <= hi)
-            step = (hi - lo) / self.resolution
-            # fractional index into cell centers, clamped to the center span
-            c = (theta[:, d] - lo) / step - 0.5
-            coords.append(np.clip(c, 0.0, self.resolution - 1.0))
-        if self.dim_theta == 1:
-            c = coords[0][inside]
-            i0 = np.floor(c).astype(int)
-            i1 = np.minimum(i0 + 1, self.resolution - 1)
-            w = c - i0
-            out[inside] = (1 - w) * self.log_dens[i0] + w * self.log_dens[i1]
-        else:
-            cu, cv = coords[0][inside], coords[1][inside]
-            i0 = np.floor(cu).astype(int)
-            j0 = np.floor(cv).astype(int)
-            i1 = np.minimum(i0 + 1, self.resolution - 1)
-            j1 = np.minimum(j0 + 1, self.resolution - 1)
-            wu, wv = cu - i0, cv - j0
-            out[inside] = ((1 - wu) * (1 - wv) * self.log_dens[i0, j0]
-                           + wu * (1 - wv) * self.log_dens[i1, j0]
-                           + (1 - wu) * wv * self.log_dens[i0, j1]
-                           + wu * wv * self.log_dens[i1, j1])
-        return out
-
-
-def grid_posterior(problem, x, resolution=512):
-    """Posterior  prior x likelihood on a grid, normalized by cell mass."""
-    if problem.dim_theta > 2:
-        raise ValueError("grid posterior supports dim_theta <= 2 only")
-    if resolution < 16:
-        raise ValueError(f"grid resolution must be >= 16 per dim, got {resolution}")
-    layout = grid_layout(problem, resolution)
-    log_un = (problem.prior.log_density(layout.points)
-              + problem.log_likelihood(x, layout.points)).reshape(layout.shape)
-    peak = np.max(log_un)
-    rel = np.exp(log_un - peak)
-    total = np.sum(rel)
-    masses = rel / total
-    vol = math.prod((hi - lo) / resolution for lo, hi in layout.bounds)
-    log_dens = log_un - (peak + np.log(total) + np.log(vol))
-    return GridOracle(bounds=layout.bounds, resolution=resolution,
-                      centers=layout.centers,
-                      log_dens=log_dens, masses=masses,
-                      x=np.asarray(x, dtype=np.float64))
+    return GridLayout(bounds, resolution, points)
 
 
 # -- 1D mixture demo densities --------------------------------------------------

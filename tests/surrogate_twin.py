@@ -5,7 +5,9 @@ which the hard indicator values and the sort permutation are frozen at the
 evaluation point while each indicator contributes its band surrogate's
 deviation from the center (clip(u, -tau, tau), unit slope on the band).
 This module rebuilds that exact function so central finite differences can
-validate the implementation's gradients independently.
+validate the implementation's gradients independently. It also holds
+`rank_statistic_quotient`, the rank statistic straight from linear density
+values, which the scale-invariance checks compare across rescalings.
 """
 
 import numpy as np
@@ -71,3 +73,23 @@ class RegularizerTwin:
                 gap = gap * self.direct_gap_mask[level]
             total += gap ** 2
         return float(total)
+
+
+def rank_statistic_quotient(dens_star, dens_draws, prop_dens):
+    """Rank statistic straight from linear density values (no shifts).
+
+    The scale-invariance seam: multiplying dens_star and dens_draws by an
+    exactly representable factor (a power of two) leaves the result
+    bit-identical, because the comparison and the self-normalized quotient
+    cancel the factor exactly.
+    """
+    dens_star = np.asarray(dens_star, dtype=np.float64).reshape(-1, 1)
+    dens_draws = np.asarray(dens_draws, dtype=np.float64)
+    weights = dens_draws / np.asarray(prop_dens, dtype=np.float64)
+    indic = (dens_draws < dens_star).astype(np.float64)
+    denom = weights.sum(axis=1)
+    numer = (weights * indic).sum(axis=1)
+    out = np.zeros_like(denom)
+    ok = denom > 0
+    out[ok] = numer[ok] / denom[ok]
+    return out

@@ -14,8 +14,7 @@ import pytest
 
 from calsbi import covreg, trainer
 from calsbi.autodiff import Value
-from calsbi.covreg import (RegConfig, rank_statistic_core,
-                           rank_statistic_quotient, sorting_loss)
+from calsbi.covreg import RegConfig, rank_statistic_core, sorting_loss
 from calsbi.diagnostics import (conservativeness_error, coverage_auc,
                                 curve_from_rank_statistics, ecp_grid_hpdr,
                                 expected_log_posterior, ks_statistic,
@@ -25,7 +24,7 @@ from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 from calsbi.trainer import TrainConfig, measure_step_overhead, train
 
 from conftest import assert_close_rel, finite_difference
-from surrogate_twin import RegularizerTwin
+from surrogate_twin import RegularizerTwin, rank_statistic_quotient
 
 LEVELS = np.linspace(0.05, 0.95, 19)
 EVAL_SAMPLES = 1024

@@ -295,13 +295,6 @@ def test_straight_through_forwards_hard_and_backwards_soft(rng):
     np.testing.assert_array_equal(soft.grad, [[1.0], [2.0], [3.0]])
 
 
-def test_detach_cuts_graph(rng):
-    x = Value(rng.standard_normal((2, 2)), requires_grad=True)
-    y = x.square().detach()
-    assert not y.requires_grad
-    np.testing.assert_array_equal(y.data, x.data ** 2)
-
-
 # -- optimizer -------------------------------------------------------------------
 
 

@@ -166,13 +166,35 @@ def test_non_finite_dataset_row_exits_two(data_file, tmp_path, capsys):
     assert "non-finite value in row 3" in capsys.readouterr().err
 
 
-def test_eval_oracle_unsupported_problem(tmp_path, capsys):
+def test_eval_oracle_on_nonlinear_problem_writes_both_curves(tmp_path, capsys):
     data = tmp_path / "nl.sbid"
     run(["simulate", "--problem", "nonlinear-2d", "--n", "32", "--out", str(data)])
-    code = run(["eval", "--oracle", "--data", str(data),
-                "--out-dir", str(tmp_path / "e")])
+    out = tmp_path / "e"
+    code = run(["eval", "--oracle", "--data", str(data), "--ecp", "both",
+                "--L", "64", "--grid-res", "32", "--out-dir", str(out)])
+    assert code == 0
+    text = (out / "coverage.csv").read_text()
+    assert "rank-based" in text and "grid-hpdr" in text
+    metrics = (out / "metrics.csv").read_text()
+    assert "expected_log_posterior_normalized,0\n" in metrics
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--oracle", "--sbc-bins", "1"], "--sbc-bins"),
+    (["--oracle", "--level-min", "-0.5"], "levels"),
+    (["--oracle", "--level-max", "1.5"], "levels"),
+    (["--oracle", "--level-min", "0.6", "--level-max", "0.4"], "levels"),
+    (["--oracle", "--checkpoint", "model.calc"], "exactly one"),
+    ([], "exactly one"),
+], ids=["sbc-bins-1", "level-min-negative", "level-max-above-one",
+        "levels-decreasing", "oracle-and-checkpoint", "neither"])
+def test_eval_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
+                                                   flags, message):
+    out = tmp_path / "e"
+    code = run(["eval", "--data", data_file, "--out-dir", str(out), *flags])
     assert code == 2
-    assert "no analytic oracle" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_demo_detects_overconfidence(tmp_path, capsys):

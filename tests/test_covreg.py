@@ -6,7 +6,7 @@ import pytest
 from calsbi import autodiff as ad
 from calsbi import covreg
 from calsbi.autodiff import Value
-from calsbi.covreg import (RegConfig, direct_loss, rank_statistic_core, rank_statistic_quotient,
+from calsbi.covreg import (RegConfig, direct_loss, rank_statistic_core,
                            rank_statistics, regularizer, sorting_loss,
                            ste_indicator)
 from calsbi.diagnostics import rank_statistic_sample
@@ -15,7 +15,7 @@ from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, Prior,
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
 from conftest import RowCounter, assert_close_rel, finite_difference
-from surrogate_twin import RegularizerTwin
+from surrogate_twin import RegularizerTwin, rank_statistic_quotient
 
 
 def phi(z):

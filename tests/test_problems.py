@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from calsbi.problems import (Dataset, GridOracle, analytic_posterior,
-                             get_problem, grid_posterior, load_dataset,
-                             mixture_demo_densities, simulate_dataset,
-                             MIXTURE_BLACK_SIGMAS, MIXTURE_RED_SIGMAS,
-                             MIXTURE_WEIGHTS)
+from calsbi.estimators import GaussianLinearPosterior
+from calsbi.problems import (LikelihoodPosterior, analytic_posterior,
+                             get_problem, grid_layout, load_dataset,
+                             mixture_demo_densities, oracle_posterior,
+                             simulate_dataset, MIXTURE_BLACK_SIGMAS,
+                             MIXTURE_RED_SIGMAS, MIXTURE_WEIGHTS)
 
 
 def test_zero_noise_simulation_is_identity():
@@ -150,65 +151,54 @@ def test_analytic_posterior_quadrature_normalization():
     assert np.sum(np.exp(ld)) * step * step == pytest.approx(1.0, abs=1e-3)
 
 
-# -- grid oracle ------------------------------------------------------------------
-
-
-def test_grid_masses_sum_to_one():
-    problem = get_problem("nonlinear-2d")
-    oracle = grid_posterior(problem, np.array([1.0, 1.0]), resolution=128)
-    assert oracle.masses.sum() == pytest.approx(1.0, abs=1e-6)
-
-
-def test_grid_rejects_coarse_resolution():
-    with pytest.raises(ValueError, match="resolution"):
-        grid_posterior(get_problem("gaussian-linear"), np.zeros(2), resolution=8)
+# -- likelihood oracle ---------------------------------------------------------------
 
 
 def test_grid_matches_analytic_oracle_at_cell_centers():
+    # prior x likelihood equals the conjugate posterior up to a constant per x,
+    # on the grid surface and on paired rows alike
     problem = get_problem("gaussian-linear")
-    x = np.array([0.6, -0.9])
-    grid = grid_posterior(problem, x, resolution=512)
-    analytic = analytic_posterior(problem)
-    c0, c1 = np.meshgrid(grid.centers[0], grid.centers[1], indexing="ij")
-    pts = np.stack([c0.ravel(), c1.ravel()], axis=1)
-    ld_true = analytic.log_density(pts, np.repeat(x.reshape(1, 2), pts.shape[0], axis=0))
-    diff = np.abs(grid.log_dens.ravel() - ld_true)
-    assert diff.max() <= 1e-2
-
-
-def test_grid_converges_as_resolution_doubles():
-    problem = get_problem("gaussian-linear")
-    x = np.array([0.5, 0.1])
-    coarse = grid_posterior(problem, x, resolution=512)
-    fine = grid_posterior(problem, x, resolution=1024)
-    rng = np.random.default_rng(0)
-    probes = analytic_posterior(problem).sample_batch(x.reshape(1, 2), rng, 200)[0]
-    delta = np.abs(coarse.log_density(probes) - fine.log_density(probes))
-    assert delta.max() < 5e-3
+    analytic = oracle_posterior(problem)
+    assert isinstance(analytic, GaussianLinearPosterior)
+    joint = LikelihoodPosterior(problem)
+    assert not joint.normalized
+    xs = np.array([[0.6, -0.9], [0.0, 0.0], [-2.5, 1.7]])
+    points = grid_layout(problem, 128).points
+    diff = joint.log_density_grid(points, xs) - analytic.log_density_grid(points, xs)
+    assert np.max(diff.max(axis=1) - diff.min(axis=1)) <= 1e-9
+    paired = joint.log_density(points, np.repeat(xs[:1], points.shape[0], axis=0))
+    np.testing.assert_array_equal(paired, joint.log_density_grid(points, xs[:1])[0])
 
 
 def test_nonlinear_posterior_is_bimodal_in_sign():
     problem = get_problem("nonlinear-2d")
-    oracle = grid_posterior(problem, np.array([1.0, 1.0]), resolution=256)
+    oracle = oracle_posterior(problem)
+    assert isinstance(oracle, LikelihoodPosterior)
+    layout = grid_layout(problem, 256)
+    log_dens = oracle.log_density_grid(layout.points,
+                                       np.array([[1.0, 1.0]])).reshape(layout.shape)
     # strict local maxima over the 8 neighbours, -inf beyond the grid edge
-    pad = np.pad(oracle.log_dens, 1, constant_values=-np.inf)
+    pad = np.pad(log_dens, 1, constant_values=-np.inf)
     core = pad[1:-1, 1:-1]
     strict = np.ones(core.shape, dtype=bool)
     for di, dj in itertools.product((-1, 0, 1), repeat=2):
         if di or dj:
             strict &= core > pad[1 + di:pad.shape[0] - 1 + di,
                                  1 + dj:pad.shape[1] - 1 + dj]
-    maxima = [(oracle.centers[0][i], oracle.centers[1][j])
-              for i, j in np.argwhere(strict)]
+    maxima = layout.points[np.flatnonzero(strict.ravel())]
     assert len(maxima) >= 2
-    signs = {np.sign(m[0]) for m in maxima}
-    assert signs == {-1.0, 1.0}
+    assert set(np.sign(maxima[:, 0])) == {-1.0, 1.0}
 
 
 def test_grid_log_density_is_minus_inf_outside_bounds():
-    problem = get_problem("nonlinear-2d")
-    oracle = grid_posterior(problem, np.array([1.0, 1.0]), resolution=64)
-    assert oracle.log_density(np.array([[4.0, 0.0]]))[0] == -np.inf
+    oracle = LikelihoodPosterior(get_problem("nonlinear-2d"))
+    thetas = np.array([[4.0, 0.0], [0.5, -3.5], [0.5, 0.5]])
+    x = np.array([[1.0, 1.0]])
+    rows = oracle.log_density(thetas, np.repeat(x, 3, axis=0))
+    grid = oracle.log_density_grid(thetas, x)[0]
+    for ld in (rows, grid):
+        assert ld[0] == ld[1] == -np.inf
+        assert np.isfinite(ld[2])
 
 
 # -- mixture demo densities --------------------------------------------------------
