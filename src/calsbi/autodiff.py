@@ -280,14 +280,6 @@ class Value:
         out = np.tanh(a.data)
         return Value._node(out, (a,), "tanh", lambda g: a._accum(g * (1.0 - out * out)))
 
-    def sigmoid(self):
-        a = self
-        x = a.data
-        out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return Value._node(out, (a,), "sigmoid",
-                           lambda g: a._accum(g * out * (1.0 - out)))
-
     def selu(self):
         a = self
         x = a.data

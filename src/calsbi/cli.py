@@ -117,6 +117,8 @@ def cmd_eval(args):
         print(f"error: --sbc-bins must be >= 2, got {args.sbc_bins}", file=sys.stderr)
         return EXIT_USAGE
     ds = load_dataset(args.data)
+    if args.ecp in ("grid", "both"):
+        diagnostics.require_grid_dim(ds.dim_theta)
     problem = problem_for_dataset(ds)
     if args.oracle:
         posterior = oracle_posterior(problem)

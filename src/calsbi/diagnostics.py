@@ -110,6 +110,12 @@ def curve_from_rank_statistics(alphas, levels, num_samples=None):
     return CoverageCurve(levels, ecp, alphas.size, "rank-based", num_samples)
 
 
+def require_grid_dim(dim_theta):
+    """Refuse a grid-HPDR audit of more than two parameter dimensions."""
+    if dim_theta > 2:
+        raise ValueError("grid-hpdr coverage supports dim_theta <= 2 only")
+
+
 def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
                   resolution=DEFAULT_GRID_RESOLUTION, chunk=None):
     """ECP via explicit highest-density regions on a parameter grid.
@@ -118,48 +124,59 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     one statistic: the mass of the cells strictly denser than the nominal
     parameter's cell, or 1 when the parameter lies off the grid. The
     highest-density region at level l holds the nominal cell exactly when
-    that mass is below l. The posterior supplies `log_density_grid`, or
-    `embed` and `log_density_from_embedding`, in which case each
-    observation is embedded once and the network runs over the pairs' grid
-    rows in fixed row blocks (`_ROW_BLOCK`), so its hidden activations stay
-    the same size whatever the resolution: one trained-flow pair at 512²
-    peaks at about 10 MB of traced numpy memory, most of it the grid and
-    the pair's density row. The chunk of pairs per slice defaults to about
-    2M grid rows on the closed-form path and one row block on the network
-    path. Reserved for dim_theta <= 2.
+    that mass is below l.
+
+    The posterior supplies `log_density_grid(grid, xs, out=)`, or `embed`
+    and `log_density_from_embedding`, in which case each observation is
+    embedded once and the network runs over the pairs' grid rows in fixed
+    row blocks (`_ROW_BLOCK`), so its hidden activations stay the same size
+    whatever the resolution. Either way a slice of pairs is written into a
+    (chunk, grid) log-density buffer, and the reduction (row max, subtract,
+    exp, the denser-than-nominal mask, two row sums) runs in place in a
+    weight and a mask buffer of the same shape; the three are allocated once
+    per call. The chunk of pairs defaults to about 2^19 grid rows on the
+    closed-form path (2 pairs at 512^2, 4 MB a buffer) and one row block on
+    the network path (1 pair at 512^2). 16 Gaussian-oracle pairs or one
+    trained-flow pair at 512^2 peak at about 16 or 10 MB of traced numpy
+    memory. Reserved for dim_theta <= 2.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if thetas.shape[0] == 0:
         raise ValueError("empty test set")
-    if thetas.shape[1] > 2:
-        raise ValueError("grid-hpdr coverage supports dim_theta <= 2 only")
+    require_grid_dim(thetas.shape[1])
     levels = np.asarray(levels, dtype=np.float64)
     layout = grid_layout(problem, resolution)
     grid = layout.points
     g = grid.shape[0]
     cells, inside = layout.cell_index(thetas)
     closed_form = hasattr(posterior, "log_density_grid")
-    if chunk is None:
-        chunk = max(1, (2 ** 21 if closed_form else _ROW_BLOCK) // g)
     n = thetas.shape[0]
+    if chunk is None:
+        chunk = max(1, (2 ** 19 if closed_form else _ROW_BLOCK) // g)
+    chunk = min(chunk, n)
+    ld_buf = np.empty((chunk, g))
+    rel_buf = np.empty((chunk, g))
+    mask_buf = np.empty((chunk, g), dtype=bool)
     denser = np.ones(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
+        ld, rel, mask = ld_buf[:hi - lo], rel_buf[:hi - lo], mask_buf[:hi - lo]
         if closed_form:
-            ld = posterior.log_density_grid(grid, xs[lo:hi])
+            posterior.log_density_grid(grid, xs[lo:hi], out=ld)
         else:
             # flat row r pairs grid row r % g with embedding r // g
             emb = posterior.embed(xs[lo:hi])
-            ld = np.empty((hi - lo) * g)
-            for r in range(0, ld.size, _ROW_BLOCK):
-                rows = np.arange(r, min(r + _ROW_BLOCK, ld.size))
-                ld[r:r + rows.size] = posterior.log_density_from_embedding(
+            flat = ld.reshape(-1)
+            for r in range(0, flat.size, _ROW_BLOCK):
+                rows = np.arange(r, min(r + _ROW_BLOCK, flat.size))
+                flat[r:r + rows.size] = posterior.log_density_from_embedding(
                     grid[rows % g], emb[rows // g])
-            ld = ld.reshape(hi - lo, g)
-        rel = np.exp(ld - ld.max(axis=1, keepdims=True))
         nominal = ld[np.arange(hi - lo), cells[lo:hi], None]
-        denser[lo:hi] = rel.sum(axis=1, where=ld > nominal) / rel.sum(axis=1)
+        np.greater(ld, nominal, out=mask)
+        np.subtract(ld, ld.max(axis=1, keepdims=True), out=rel)
+        np.exp(rel, out=rel)
+        denser[lo:hi] = rel.sum(axis=1, where=mask) / rel.sum(axis=1)
     denser[~inside] = 1.0
     ecp = np.mean(denser < levels[:, None], axis=1)
     return CoverageCurve(levels, ecp, n, "grid-hpdr")

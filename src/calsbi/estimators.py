@@ -30,6 +30,29 @@ from .autodiff import Value, concat, dense
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def sum_sq_scaled(u, v, scale, out=None):
+    """sum_d ((u_d - v_d) / scale)^2 over the last axis, into `out` if given.
+
+    u[..., d] and v[..., d] broadcast to `out`'s shape, one dimension at a
+    time. Paired rows and an (observations, grid) surface therefore get the
+    same floating-point operations, and neither an (n, G, dim) temporary nor
+    the cancellation of |u|^2 - 2 u.v + |v|^2 arises. From the second
+    dimension on, one `out`-sized scratch holds each term.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]))
+    term = out
+    for d in range(u.shape[-1]):
+        if d == 1:
+            term = np.empty_like(out)
+        np.subtract(u[..., d], v[..., d], out=term)
+        term /= scale
+        term *= term
+        if d:
+            out += term
+    return out
+
+
 def _rows(arr, dim, name):
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
@@ -335,19 +358,26 @@ class GaussianLinearPosterior:
     def log_density(self, theta, x):
         theta = _rows(theta, self.dim_theta, "theta")
         x = _rows(x, self.dim_theta, "x")
-        z = (theta - self.coef * x) / self.std
-        return (-0.5 * np.sum(z * z, axis=1)
-                - self.dim_theta * (math.log(self.std) + 0.5 * LOG_2PI))
+        return self._finish(sum_sq_scaled(theta, self.coef * x, self.std))
 
-    def log_density_grid(self, grid, xs):
-        """(n_x, n_grid) log densities via the expanded quadratic (one GEMM)."""
+    def log_density_grid(self, grid, xs, out=None):
+        """(n_x, n_grid) log densities, written into `out` when one is given.
+
+        The quadratic is summed one dimension at a time as
+        ((theta_d - coef x_d) / std)^2, the form `log_density` uses, so a
+        grid row equals the paired rows bit for bit and no |grid|^2 term is
+        computed.
+        """
         grid = _rows(grid, self.dim_theta, "grid")
         xs = _rows(xs, self.dim_theta, "xs")
-        quad = (np.sum(grid * grid, axis=1)[None, :]
-                - 2.0 * self.coef * (xs @ grid.T)
-                + self.coef ** 2 * np.sum(xs * xs, axis=1)[:, None])
-        return (-0.5 * quad / self.std ** 2
-                - self.dim_theta * (math.log(self.std) + 0.5 * LOG_2PI))
+        return self._finish(sum_sq_scaled(grid[None], self.coef * xs[:, None],
+                                          self.std, out))
+
+    def _finish(self, sq):
+        """-sq / 2 minus the log normalizer, in place."""
+        sq *= -0.5
+        sq -= self.dim_theta * (math.log(self.std) + 0.5 * LOG_2PI)
+        return sq
 
     def sample_batch(self, x, rng, count):
         x = _rows(x, self.dim_theta, "x")

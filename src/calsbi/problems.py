@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import LOG_2PI, GaussianLinearPosterior, Prior
+from .estimators import LOG_2PI, GaussianLinearPosterior, Prior, sum_sq_scaled
 
 FILE_MAGIC = b"SBID"
 FILE_VERSION = 1
@@ -220,20 +220,21 @@ class LikelihoodPosterior:
     def __init__(self, problem):
         self.problem = problem
         self.dim_theta = problem.dim_theta
+        self._grid = None
 
-    def _log_joint(self, log_prior, means, xs):
+    def _log_joint(self, log_prior, means, xs, out=None):
         """Log prior plus the Gaussian log likelihood; arrays broadcast.
 
-        The squared distance is summed one x-dimension at a time as
-        ((x_d - m_d) / sigma)^2, which neither builds an (n, G, dim_x)
-        temporary nor cancels when x is near m, as |x|^2 - 2 x.m + |m|^2 does.
+        Written into `out` when given. The squared distance sums
+        ((x_d - m_d) / sigma)^2 one x-dimension at a time (`sum_sq_scaled`),
+        so it does not cancel when x is near m.
         """
         p = self.problem
-        sq = 0.0
-        for d in range(p.dim_x):
-            sq = sq + ((xs[..., d] - means[..., d]) / p.noise_sigma) ** 2
-        return log_prior - 0.5 * sq - p.dim_x * (np.log(p.noise_sigma)
-                                                 + 0.5 * LOG_2PI)
+        sq = sum_sq_scaled(xs, means, p.noise_sigma, out)
+        sq *= 0.5
+        np.subtract(log_prior, sq, out=sq)
+        sq -= p.dim_x * (np.log(p.noise_sigma) + 0.5 * LOG_2PI)
+        return sq
 
     def log_density(self, theta, x):
         """Log joint density of paired (theta, x) rows."""
@@ -242,12 +243,20 @@ class LikelihoodPosterior:
         return self._log_joint(self.problem.prior.log_density(theta),
                                self.problem.mean_fn(theta), x)
 
-    def log_density_grid(self, grid, xs):
-        """(n_x, n_grid) log joint densities; prior and means once per call."""
-        grid = np.asarray(grid, dtype=np.float64).reshape(-1, self.dim_theta)
+    def log_density_grid(self, grid, xs, out=None):
+        """(n_x, n_grid) log joint densities, written into `out` when given.
+
+        The grid's log prior and simulator means are kept for the last grid
+        array passed, so the chunks of one grid audit compute them once; a
+        grid edited in place is not seen.
+        """
+        if self._grid is None or self._grid[0] is not grid:
+            rows = np.asarray(grid, dtype=np.float64).reshape(-1, self.dim_theta)
+            self._grid = (grid, self.problem.prior.log_density(rows)[None, :],
+                          self.problem.mean_fn(rows)[None])
+        _, log_prior, means = self._grid
         xs = np.asarray(xs, dtype=np.float64).reshape(-1, self.problem.dim_x)
-        return self._log_joint(self.problem.prior.log_density(grid)[None, :],
-                               self.problem.mean_fn(grid)[None], xs[:, None, :])
+        return self._log_joint(log_prior, means, xs[:, None, :], out)
 
 
 def oracle_posterior(problem):

@@ -5,13 +5,14 @@ and `perfbench/job.py` replays `calsbi train` and `calsbi eval` through cli
 helpers. A renamed or deleted name fails here, not only in a benchmark run.
 """
 
+import contextlib
 import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from calsbi import cli, covreg
+from calsbi import cli, covreg, diagnostics
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -39,12 +40,28 @@ def _own_attributes():
     return {cls: set(vars(cls)) for cls in classes}
 
 
-def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
-    before = _calsbi_bindings()
+@contextlib.contextmanager
+def _installed(rec):
+    """spans.install for the block, then uninstall and drop inherited copies.
+
+    Uninstall sets an inherited method back as the subclass's own attribute;
+    deleting those copies lets later tests see the classes as defined.
+    """
     own = _own_attributes()
-    rec = spans.Recorder()
     uninstall = spans.install(rec)
     try:
+        yield
+    finally:
+        uninstall()
+        for cls, names in own.items():
+            for attr in set(vars(cls)) - names:
+                delattr(cls, attr)
+
+
+def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
+    before = _calsbi_bindings()
+    rec = spans.Recorder()
+    with _installed(rec):
         for cls in (covreg.PriorProposal, covreg.DensityProposal):
             for attr in ("sample_batch", "log_density_rows"):
                 assert getattr(cls, attr) is not before[("calsbi.covreg", cls.__name__, attr)]
@@ -58,18 +75,26 @@ def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
         covreg.regularizer(analytic_posterior(problem), ds.thetas, ds.xs,
                            covreg.RegConfig(num_samples=4),
                            np.random.default_rng(0), problem.prior)
-    finally:
-        uninstall()
-        after = _calsbi_bindings()
-        # uninstall sets an inherited method back as the subclass's own
-        # attribute; drop those copies so later tests see the classes as defined
-        for cls, names in own.items():
-            for attr in set(vars(cls)) - names:
-                delattr(cls, attr)
+    after = _calsbi_bindings()
     assert {"covreg.regularizer", "covreg.rank_statistics", "covreg.proposal",
             "covreg.rank_core", "covreg.sort_loss"} <= set(rec.names)
     changed = [k for k in before if after.get(k) is not before[k]]
     assert changed == []
+
+
+def test_traced_oracle_grid_audit_counts_pairs_times_cells_density_rows():
+    # the eval-oracle-grid trace reads estimators.log_density_grid_s from
+    # these spans, whose row count reads the positional (grid, xs)
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 5, seed=0)
+    rec = spans.Recorder()
+    with _installed(rec):
+        diagnostics.ecp_grid_hpdr(analytic_posterior(problem), ds.thetas, ds.xs,
+                                  problem, resolution=32, chunk=2)
+    rows = [a["rows"] for name, a in zip(rec.names, rec.attrs)
+            if name == "estimators.log_density_grid"]
+    assert rows == [2 * 32 ** 2, 2 * 32 ** 2, 32 ** 2]
+    assert "diagnostics.grid_hpdr" in rec.names
 
 
 def test_cli_helpers_the_benchmark_job_calls_exist():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calsbi.cli import main
-from calsbi.problems import load_dataset
+from calsbi.problems import get_problem, load_dataset, simulate_dataset
 
 
 def run(argv):
@@ -194,6 +194,19 @@ def test_eval_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
     code = run(["eval", "--data", data_file, "--out-dir", str(out), *flags])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ecp", ["grid", "both"])
+def test_eval_grid_on_three_parameters_exits_two_before_any_output(tmp_path,
+                                                                   capsys, ecp):
+    data = tmp_path / "g3.sbid"
+    simulate_dataset(get_problem("gaussian-linear", dim=3), 16, seed=3).save(data)
+    out = tmp_path / "e"
+    code = run(["eval", "--oracle", "--data", str(data), "--ecp", ecp,
+                "--L", "16", "--out-dir", str(out)])
+    assert code == 2
+    assert "grid-hpdr coverage supports dim_theta <= 2 only" in capsys.readouterr().err
     assert not out.exists()
 
 

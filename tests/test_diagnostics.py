@@ -225,11 +225,15 @@ def test_grid_hpdr_never_covers_a_parameter_off_the_grid():
     np.testing.assert_array_equal(alone.ecp, 0.0)
 
 
-@pytest.mark.parametrize("which", ["oracle", "npe"])
+@pytest.mark.parametrize("which", ["oracle", "nonlinear-2d-oracle", "npe"])
 def test_coverage_statistics_do_not_depend_on_chunk_size(nonlinear_models, which):
     if which == "oracle":
         problem = get_problem("gaussian-linear")
         posterior = analytic_posterior(problem)
+    elif which == "nonlinear-2d-oracle":
+        # the grid's prior and means are computed once per audit, reused by chunks
+        problem = get_problem("nonlinear-2d")
+        posterior = oracle_posterior(problem)
     else:
         problem = get_problem("nonlinear-2d")
         posterior = nonlinear_models["npe"]
@@ -290,6 +294,21 @@ def test_grid_hpdr_on_a_flow_pair_at_512_has_a_bounded_peak(nonlinear_models):
     finally:
         tracemalloc.stop()
     # one pass over all 262,144 grid rows would hold 32 MB per hidden layer
+    assert peak < 24 * 2 ** 20
+
+
+def test_grid_hpdr_on_gaussian_oracle_pairs_at_512_has_a_bounded_peak():
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 16, seed=43)
+    tracemalloc.start()
+    try:
+        ecp_grid_hpdr(analytic_posterior(problem), ds.thetas, ds.xs, problem,
+                      resolution=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the grid, three reused 2-pair buffers and one scratch hold about 16.5 MB;
+    # 8-pair slices of fresh temporaries would peak at 70 MB
     assert peak < 24 * 2 ** 20
 
 

@@ -60,8 +60,8 @@ def test_prior_samples_stay_in_support(rng):
 
 def _classifier_output(model, theta, x):
     """d(theta, x) = sigmoid(logit), in (0, 1)."""
-    z = model.logit_graph(Value(theta), Value(model.embed(x)))
-    return z.sigmoid().data[:, 0]
+    z = model.logit_graph(Value(theta), Value(model.embed(x))).data[:, 0]
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _zero_head(model):

@@ -201,6 +201,47 @@ def test_grid_log_density_is_minus_inf_outside_bounds():
         assert np.isfinite(ld[2])
 
 
+GRID_ORACLES = {
+    "gaussian-1d": ("gaussian-linear", {"dim": 1}, analytic_posterior),
+    "gaussian-2d": ("gaussian-linear", {"dim": 2}, analytic_posterior),
+    "likelihood-1d": ("gaussian-linear", {"dim": 1}, LikelihoodPosterior),
+    "likelihood-2d": ("gaussian-linear", {"dim": 2}, LikelihoodPosterior),
+    "likelihood-nonlinear-2d": ("nonlinear-2d", {}, LikelihoodPosterior),
+}
+
+
+@pytest.mark.parametrize("name", GRID_ORACLES)
+def test_grid_density_written_into_a_buffer_equals_the_fresh_return(name):
+    problem_id, kwargs, make_oracle = GRID_ORACLES[name]
+    problem = get_problem(problem_id, **kwargs)
+    oracle = make_oracle(problem)
+    ds = simulate_dataset(problem, 5, seed=44)
+    points = grid_layout(problem, 48).points
+    fresh = oracle.log_density_grid(points, ds.xs)
+    # a slice of a larger buffer holding stale values, as a grid audit passes it
+    buf = np.full((8, len(points)), np.nan)
+    filled = oracle.log_density_grid(points, ds.xs, out=buf[:5])
+    assert filled.base is buf
+    np.testing.assert_array_equal(buf[:5], fresh)
+    assert np.isnan(buf[5:]).all()
+    # a second grid array is evaluated afresh, not from the first grid's terms
+    other = grid_layout(problem, 20).points
+    np.testing.assert_array_equal(oracle.log_density_grid(other, ds.xs),
+                                  make_oracle(problem).log_density_grid(other, ds.xs))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_oracle_grid_rows_equal_paired_rows_bit_for_bit(dim):
+    oracle = GaussianLinearPosterior(noise_sigma=0.5, dim=dim, scale_factor=1.3)
+    rng = np.random.default_rng(45)
+    grid = 4.0 * rng.standard_normal((300, dim))
+    xs = 3.0 * rng.standard_normal((4, dim))
+    rows = oracle.log_density_grid(grid, xs)
+    for x, row in zip(xs, rows):
+        np.testing.assert_array_equal(
+            row, oracle.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
+
+
 # -- mixture demo densities --------------------------------------------------------
 
 
