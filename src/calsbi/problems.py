@@ -248,7 +248,9 @@ class LikelihoodPosterior:
 
         The grid's log prior and simulator means are kept for the last grid
         array passed, so the chunks of one grid audit compute them once; a
-        grid edited in place is not seen.
+        grid edited in place is not seen. Only `ecp_grid_hpdr`, which passes
+        one fresh grid array per call, relies on this; the terms (about
+        G * (1 + dim_x) floats) live as long as the posterior.
         """
         if self._grid is None or self._grid[0] is not grid:
             rows = np.asarray(grid, dtype=np.float64).reshape(-1, self.dim_theta)

@@ -44,15 +44,20 @@ def _own_attributes():
 def _installed(rec):
     """spans.install for the block, then uninstall and drop inherited copies.
 
-    Uninstall sets an inherited method back as the subclass's own attribute;
-    deleting those copies lets later tests see the classes as defined.
+    Yields a dict whose "after" entry holds the bindings read right after
+    uninstall, before the cleanup, so a wrapper that uninstall left on a
+    subclass still shows there. Uninstall sets an inherited method back as
+    the subclass's own attribute; deleting those copies lets later tests see
+    the classes as defined.
     """
     own = _own_attributes()
+    state = {}
     uninstall = spans.install(rec)
     try:
-        yield
+        yield state
     finally:
         uninstall()
+        state["after"] = _calsbi_bindings()
         for cls, names in own.items():
             for attr in set(vars(cls)) - names:
                 delattr(cls, attr)
@@ -61,7 +66,7 @@ def _installed(rec):
 def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
     before = _calsbi_bindings()
     rec = spans.Recorder()
-    with _installed(rec):
+    with _installed(rec) as state:
         for cls in (covreg.PriorProposal, covreg.DensityProposal):
             for attr in ("sample_batch", "log_density_rows"):
                 assert getattr(cls, attr) is not before[("calsbi.covreg", cls.__name__, attr)]
@@ -75,7 +80,7 @@ def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
         covreg.regularizer(analytic_posterior(problem), ds.thetas, ds.xs,
                            covreg.RegConfig(num_samples=4),
                            np.random.default_rng(0), problem.prior)
-    after = _calsbi_bindings()
+    after = state["after"]
     assert {"covreg.regularizer", "covreg.rank_statistics", "covreg.proposal",
             "covreg.rank_core", "covreg.sort_loss"} <= set(rec.names)
     changed = [k for k in before if after.get(k) is not before[k]]
