@@ -66,7 +66,6 @@ class RankStatisticBatch:
     """Differentiable rank statistics plus importance-weight health data."""
 
     values: Value                        # (n, 1), each in [0, 1]
-    weight_sums: np.ndarray              # (n,), max-normalized weight totals
     degenerate: np.ndarray               # (n,) bool mask of all-zero-weight rows
 
     @property
@@ -139,8 +138,7 @@ def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
     Value (n, L) log densities at the proposal draws; log_prop: constant
     (n, L) proposal log densities. Densities are compared on a per-row
     max-normalized scale; both shifts are detached, so gradients match the
-    unshifted algebra exactly. Returns (alpha Value, weight sums, degenerate
-    mask).
+    unshifted algebra exactly. Returns (alpha Value, degenerate mask).
     """
     n = lp_star.data.shape[0]
     shift = np.maximum(lp_star.data, lp_draws.data.max(axis=1, keepdims=True))
@@ -156,10 +154,9 @@ def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
     weights = (log_w - Value(w_shift)).exp()                            # (n, L)
     numer = (weights * indicators).sum(axis=1, keepdims=True)
     denom = weights.sum(axis=1, keepdims=True)
-    weight_sums = denom.data[:, 0].copy()
     if degenerate.any():
         denom = denom + Value(degenerate.astype(np.float64).reshape(n, 1))
-    return numer / denom, weight_sums, degenerate
+    return numer / denom, degenerate
 
 
 def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
@@ -190,10 +187,9 @@ def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
     log_prop = proposal.log_density_rows(flat, xs).reshape(n, num_samples)
     lp_draws = model.log_density_graph(
         Value(flat), repeat_rows(emb, num_samples)).reshape(n, num_samples)
-    alpha, weight_sums, degenerate = rank_statistic_core(
+    alpha, degenerate = rank_statistic_core(
         lp_star, lp_draws, log_prop, temperature)
-    return RankStatisticBatch(values=alpha, weight_sums=weight_sums,
-                              degenerate=degenerate)
+    return RankStatisticBatch(values=alpha, degenerate=degenerate)
 
 
 def soft_sort(values, strength):

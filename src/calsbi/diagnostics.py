@@ -14,18 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import covreg
+from . import covreg, estimators
 from .problems import grid_layout
 
 DEFAULT_EVAL_LEVELS = tuple(np.linspace(0.05, 0.95, 19).tolist())
 DEFAULT_EVAL_SAMPLES = 1024
 DEFAULT_GRID_RESOLUTION = 512
-
-# Network densities are evaluated this many (parameter, embedding) rows at a
-# time, so one block's hidden activations are 0.5 MB at width 8. On 512^2
-# grids, blocks of 4k-8k rows ran fastest; at 32k rows the minor page faults
-# of the temporaries came back (187k against 1.5k on 8 pairs).
-_ROW_BLOCK = 8192
 
 
 @dataclass
@@ -82,16 +76,16 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
 
     `proposal` is a `covreg.DensityProposal`, e.g. `PriorProposal(prior)`.
     The chunk of pairs per slice defaults to one row block of density rows
-    (`_ROW_BLOCK`, L + 1 rows a pair), so eval memory does not grow with
-    the number of pairs: at L=1024 the slices of a trained flow peak at
-    about 2.6 MB of traced numpy memory.
+    (`estimators.ROW_BLOCK`, L + 1 rows a pair), so eval memory does not
+    grow with the number of pairs: at L=1024 the slices of a trained flow
+    peak at about 2.6 MB of traced numpy memory.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     if thetas.shape[0] == 0:
         raise ValueError("empty test set")
     if chunk is None:
-        chunk = max(1, _ROW_BLOCK // (num_samples + 1))
+        chunk = max(1, estimators.ROW_BLOCK // (num_samples + 1))
     out = np.empty(thetas.shape[0])
     with ad.no_grad():
         for lo in range(0, thetas.shape[0], chunk):
@@ -126,19 +120,15 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     highest-density region at level l holds the nominal cell exactly when
     that mass is below l.
 
-    The posterior supplies `log_density_grid(grid, xs, out=)`, or `embed`
-    and `log_density_from_embedding`, in which case each observation is
-    embedded once and the network runs over the pairs' grid rows in fixed
-    row blocks (`_ROW_BLOCK`), so its hidden activations stay the same size
-    whatever the resolution. Either way a slice of pairs is written into a
-    (chunk, grid) log-density buffer, and the reduction (row max, subtract,
-    exp, the denser-than-nominal mask, two row sums) runs in place in a
-    weight and a mask buffer of the same shape; the three are allocated once
-    per call. The chunk of pairs defaults to about 2^19 grid rows on the
-    closed-form path (2 pairs at 512^2, 4 MB a buffer) and one row block on
-    the network path (1 pair at 512^2). 16 Gaussian-oracle pairs or one
-    trained-flow pair at 512^2 peak at about 16 or 10 MB of traced numpy
-    memory. Reserved for dim_theta <= 2.
+    The posterior writes a slice of pairs into a (chunk, grid) log-density
+    buffer with `log_density_grid(grid, xs, out=)`, and the reduction (row
+    max, subtract, exp, the denser-than-nominal mask, two row sums) runs in
+    place in a weight and a mask buffer of the same shape; the three are
+    allocated once per call. The chunk of pairs defaults to one row block
+    of grid rows (`estimators.ROW_BLOCK`), the rule the rank path uses, so
+    at 512^2 a slice is one pair and a buffer 2 MB. 16 Gaussian-oracle
+    pairs or one trained-flow pair at 512^2 peak at about 10 or 11 MB of
+    traced numpy memory. Reserved for dim_theta <= 2.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -150,10 +140,9 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     grid = layout.points
     g = grid.shape[0]
     cells, inside = layout.cell_index(thetas)
-    closed_form = hasattr(posterior, "log_density_grid")
     n = thetas.shape[0]
     if chunk is None:
-        chunk = max(1, (2 ** 19 if closed_form else _ROW_BLOCK) // g)
+        chunk = max(1, estimators.ROW_BLOCK // g)
     chunk = min(chunk, n)
     ld_buf = np.empty((chunk, g))
     rel_buf = np.empty((chunk, g))
@@ -162,16 +151,7 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         ld, rel, mask = ld_buf[:hi - lo], rel_buf[:hi - lo], mask_buf[:hi - lo]
-        if closed_form:
-            posterior.log_density_grid(grid, xs[lo:hi], out=ld)
-        else:
-            # flat row r pairs grid row r % g with embedding r // g
-            emb = posterior.embed(xs[lo:hi])
-            flat = ld.reshape(-1)
-            for r in range(0, flat.size, _ROW_BLOCK):
-                rows = np.arange(r, min(r + _ROW_BLOCK, flat.size))
-                flat[r:r + rows.size] = posterior.log_density_from_embedding(
-                    grid[rows % g], emb[rows // g])
+        posterior.log_density_grid(grid, xs[lo:hi], out=ld)
         nominal = ld[np.arange(hi - lo), cells[lo:hi], None]
         np.greater(ld, nominal, out=mask)
         np.subtract(ld, ld.max(axis=1, keepdims=True), out=rel)

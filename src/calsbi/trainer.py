@@ -392,16 +392,17 @@ def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
                           steps=40, repeats=5, problem=None):
     """Wall time of one regularized training step per proposal sample count.
 
-    Fresh model per count, a few warmup steps, then `steps` timed steps;
-    the minimum over `repeats` windows is reported (the low-noise timing
-    estimator). Returns a list of (count, seconds_per_step).
+    Fresh model per count and repeat, a few warmup steps, then `steps` timed
+    steps; the minimum over `repeats` windows is reported (the low-noise
+    timing estimator). Repeats run round-robin over the counts, so a drift
+    in machine speed lands on every count alike. Returns a list of
+    (count, seconds_per_step) in the order of `sample_counts`.
     """
     if problem is None:
         problem = problem_for_dataset(dataset)
-    rows = []
-    for count in sample_counts:
-        timings = []
-        for rep in range(repeats):
+    timings = [[] for _ in sample_counts]
+    for rep in range(repeats):
+        for count, times in zip(sample_counts, timings):
             ss = np.random.SeedSequence((config.seed, count, rep))
             rng_init, rng_reg, rng_neg = [np.random.default_rng(c) for c in ss.spawn(3)]
             model = build_model(config.method, problem.prior, dataset.dim_x,
@@ -417,13 +418,6 @@ def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
             start = time.perf_counter()
             for _ in range(steps):
                 train_step(*step)
-            timings.append((time.perf_counter() - start) / steps)
-        rows.append((count, float(np.min(timings))))
-    return rows
-
-
-def write_overhead_csv(path, rows):
-    with open(path, "w") as f:
-        f.write("L,seconds_per_step\n")
-        for count, sec in rows:
-            f.write(f"{count},{sec:.17g}\n")
+            times.append((time.perf_counter() - start) / steps)
+    return [(count, float(np.min(times)))
+            for count, times in zip(sample_counts, timings)]

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from calsbi import cli, covreg, diagnostics
+from calsbi.estimators import NpeFlow
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -100,6 +101,19 @@ def test_traced_oracle_grid_audit_counts_pairs_times_cells_density_rows():
             if name == "estimators.log_density_grid"]
     assert rows == [2 * 32 ** 2, 2 * 32 ** 2, 32 ** 2]
     assert "diagnostics.grid_hpdr" in rec.names
+
+
+def test_traced_flow_grid_audit_embeds_each_observation_once():
+    # eval-flow's estimators.embed_rows_per_obs reads the estimators.embed
+    # spans inside diagnostics.grid_hpdr
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 3, seed=0)
+    flow = NpeFlow(problem.dim_theta, problem.dim_x, last_scale=0.5)
+    rec = spans.Recorder()
+    with _installed(rec):
+        diagnostics.ecp_grid_hpdr(flow, ds.thetas, ds.xs, problem, resolution=32)
+    counts = spans.summarize(rec, "diagnostics.grid_hpdr", 32)["counts"]
+    assert (counts["grid_embed_rows"], counts["grid_pairs"]) == (3, 3)
 
 
 def test_cli_helpers_the_benchmark_job_calls_exist():

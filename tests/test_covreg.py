@@ -371,7 +371,7 @@ def test_regularizer_gradients_match_twin_finite_differences(mode, loss_form):
         log_prop = rng.standard_normal((n, L)) * 0.3
         tau = 0.5
 
-        alpha, _, _ = rank_statistic_core(lps, lpd, log_prop, tau)
+        alpha, _ = rank_statistic_core(lps, lpd, log_prop, tau)
         if loss_form == "sorting":
             loss = sorting_loss(alpha, mode)
         else:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calsbi import covreg, diagnostics
+from calsbi import covreg, estimators
 from calsbi.diagnostics import (DEFAULT_EVAL_LEVELS, CoverageCurve,
                                 calibration_error, conservativeness_error,
                                 coverage_auc, curve_from_rank_statistics,
@@ -144,10 +144,7 @@ def reference_grid_ecp(posterior, thetas, xs, problem, levels, resolution):
                     axis=1)
     hits = np.zeros(len(levels))
     for theta, x in zip(thetas, xs):
-        if hasattr(posterior, "log_density_grid"):
-            ld = posterior.log_density_grid(grid, x[None, :])[0]
-        else:
-            ld = posterior.log_density(grid, np.repeat(x[None, :], len(grid), axis=0))
+        ld = posterior.log_density(grid, np.repeat(x[None, :], len(grid), axis=0))
         cell = np.floor((theta - [lo for lo, _ in bounds]) / steps).astype(int)
         if np.any((cell < 0) | (cell >= resolution)):
             cell_ld = -np.inf
@@ -225,7 +222,7 @@ def test_grid_hpdr_never_covers_a_parameter_off_the_grid():
     np.testing.assert_array_equal(alone.ecp, 0.0)
 
 
-@pytest.mark.parametrize("which", ["oracle", "nonlinear-2d-oracle", "npe"])
+@pytest.mark.parametrize("which", ["oracle", "nonlinear-2d-oracle", "npe", "nre"])
 def test_coverage_statistics_do_not_depend_on_chunk_size(nonlinear_models, which):
     if which == "oracle":
         problem = get_problem("gaussian-linear")
@@ -236,7 +233,7 @@ def test_coverage_statistics_do_not_depend_on_chunk_size(nonlinear_models, which
         posterior = oracle_posterior(problem)
     else:
         problem = get_problem("nonlinear-2d")
-        posterior = nonlinear_models["npe"]
+        posterior = nonlinear_models[which]
     ds = simulate_dataset(problem, 30, seed=40)
     proposal = covreg.PriorProposal(problem.prior)
     alphas = [rank_statistic_sample(posterior, ds.thetas, ds.xs, 64, proposal,
@@ -268,7 +265,7 @@ def test_row_blocks_that_split_pairs_leave_coverage_statistics_unchanged(
 
     default = statistics()
     # 1,000 rows split every 64^2 = 4,096-row pair grid unevenly
-    monkeypatch.setattr(diagnostics, "_ROW_BLOCK", 1000)
+    monkeypatch.setattr(estimators, "ROW_BLOCK", 1000)
     rows = []
     density = model.log_density_graph
 
@@ -307,7 +304,7 @@ def test_grid_hpdr_on_gaussian_oracle_pairs_at_512_has_a_bounded_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the grid, three reused 2-pair buffers and one scratch hold about 16.5 MB;
+    # the grid, three reused 1-pair buffers and one scratch hold about 10 MB;
     # 8-pair slices of fresh temporaries would peak at 70 MB
     assert peak < 24 * 2 ** 20
 

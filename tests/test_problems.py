@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from calsbi.estimators import GaussianLinearPosterior
+from calsbi.estimators import GaussianLinearPosterior, NpeFlow, NreModel
 from calsbi.problems import (LikelihoodPosterior, analytic_posterior,
                              get_problem, grid_layout, load_dataset,
                              mixture_demo_densities, oracle_posterior,
@@ -207,6 +207,11 @@ GRID_ORACLES = {
     "likelihood-1d": ("gaussian-linear", {"dim": 1}, LikelihoodPosterior),
     "likelihood-2d": ("gaussian-linear", {"dim": 2}, LikelihoodPosterior),
     "likelihood-nonlinear-2d": ("nonlinear-2d", {}, LikelihoodPosterior),
+    # untrained networks; the flow's nonzero last layer makes it depend on x
+    "nre-nonlinear-2d": ("nonlinear-2d", {}, lambda p: NreModel(
+        p.prior, p.dim_x, rng=np.random.default_rng(0))),
+    "npe-nonlinear-2d": ("nonlinear-2d", {}, lambda p: NpeFlow(
+        p.dim_theta, p.dim_x, rng=np.random.default_rng(0), last_scale=0.5)),
 }
 
 
@@ -216,8 +221,12 @@ def test_grid_density_written_into_a_buffer_equals_the_fresh_return(name):
     problem = get_problem(problem_id, **kwargs)
     oracle = make_oracle(problem)
     ds = simulate_dataset(problem, 5, seed=44)
+    # in 2-D, 5 * 48^2 rows span two network row blocks, the first ending in a pair
     points = grid_layout(problem, 48).points
     fresh = oracle.log_density_grid(points, ds.xs)
+    paired = oracle.log_density(np.tile(points, (5, 1)),
+                                np.repeat(ds.xs, len(points), axis=0))
+    np.testing.assert_allclose(fresh.reshape(-1), paired, rtol=0, atol=1e-12)
     # a slice of a larger buffer holding stale values, as a grid audit passes it
     buf = np.full((8, len(points)), np.nan)
     filled = oracle.log_density_grid(points, ds.xs, out=buf[:5])

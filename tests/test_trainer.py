@@ -150,8 +150,7 @@ def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
                          nominal=None):
         n = thetas.shape[0]
         batch = covreg.RankStatisticBatch(
-            values=Value(np.zeros((n, 1))), weight_sums=np.zeros(n),
-            degenerate=np.ones(n, dtype=bool))
+            values=Value(np.zeros((n, 1))), degenerate=np.ones(n, dtype=bool))
         return Value(np.zeros(1)), batch
 
     monkeypatch.setattr("calsbi.trainer.covreg.regularizer", fake_regularizer)
@@ -460,6 +459,23 @@ def test_overhead_rows_cover_requested_counts(gl_dataset):
                                  steps=3, repeats=1)
     assert [r[0] for r in rows] == [1, 4]
     assert all(r[1] > 0 for r in rows)
+
+
+def test_overhead_probe_alternates_counts_across_repeats(gl_dataset, monkeypatch):
+    # a drift in machine speed must not land on one count's repeats alone
+    calls = []
+    real_step = trainer.train_step
+
+    def counting(*args, **kwargs):
+        calls.append(args[4].num_samples)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr("calsbi.trainer.train_step", counting)
+    rows = measure_step_overhead(small_config(batch_size=32), gl_dataset,
+                                 sample_counts=(1, 4), steps=2, repeats=2)
+    windows = [calls[i:i + 5] for i in range(0, len(calls), 5)]  # 3 warmup + 2
+    assert [set(w) for w in windows] == [{1}, {4}, {1}, {4}]
+    assert [r[0] for r in rows] == [1, 4]
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
