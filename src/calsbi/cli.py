@@ -123,7 +123,13 @@ def cmd_eval(args):
     if args.oracle:
         posterior = oracle_posterior(problem)
     else:
-        posterior, _ = trainer.load_checkpoint(args.checkpoint)
+        posterior, blob = trainer.load_checkpoint(args.checkpoint)
+        trained = (blob["train"]["problem_id"], posterior.dim_theta, posterior.dim_x)
+        audited = (ds.problem_id, ds.dim_theta, ds.dim_x)
+        if trained != audited:
+            raise ValueError(f"{args.checkpoint} was trained on (problem, "
+                             f"dim_theta, dim_x) {trained}, but {args.data} "
+                             f"holds {audited}")
     os.makedirs(args.out_dir, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     proposal = covreg.PriorProposal(problem.prior)

@@ -224,9 +224,6 @@ class NreModel(NetworkPosterior):
         self.x_net = Mlp([dim_x, hidden, hidden, embed_dim], rng, "x_net")
         self.head = Mlp([2 * embed_dim, hidden, hidden, 1], rng, "head")
 
-    def arch(self):
-        return {"hidden": self.hidden, "embed_dim": self.embed_dim, "dim_x": self.dim_x}
-
     def parameters(self):
         return {**self.theta_net.params, **self.x_net.params, **self.head.params}
 
@@ -251,9 +248,10 @@ class NpeFlow(NetworkPosterior):
 
     normalized = True
     method = "npe"
+    scale_bound = 3.0                   # bound on the tanh pre-scales
 
     def __init__(self, dim_theta, dim_x, hidden=8, embed_dim=8, blocks=2,
-                 scale_bound=3.0, rng=None, last_scale=0.0):
+                 rng=None, last_scale=0.0):
         rng = rng if rng is not None else np.random.default_rng(0)
         if blocks < 2 and dim_theta >= 2:
             raise ValueError("need at least 2 coupling blocks so every dim transforms")
@@ -262,7 +260,6 @@ class NpeFlow(NetworkPosterior):
         self.hidden = hidden
         self.embed_dim = embed_dim
         self.blocks = blocks
-        self.scale_bound = scale_bound
         self.x_net = Mlp([dim_x, hidden, hidden, embed_dim], rng, "x_net")
         if dim_theta == 1:
             layout = [(1, "affine0")]       # conditions on the empty odd half
@@ -278,11 +275,6 @@ class NpeFlow(NetworkPosterior):
         # is the identity (and skipped) up to two dimensions
         order = np.argsort(np.r_[0:dim_theta:2, 1:dim_theta:2])
         self._order = None if np.array_equal(order, np.arange(dim_theta)) else order
-
-    def arch(self):
-        return {"hidden": self.hidden, "embed_dim": self.embed_dim,
-                "blocks": self.blocks, "scale_bound": self.scale_bound,
-                "dim_theta": self.dim_theta, "dim_x": self.dim_x}
 
     def parameters(self):
         out = dict(self.x_net.params)
@@ -439,6 +431,5 @@ def build_model(method, prior, dim_x, arch, rng=None):
     if method == "npe":
         return NpeFlow(prior.dim, dim_x, hidden=arch.get("hidden", 8),
                        embed_dim=arch.get("embed_dim", 8),
-                       blocks=arch.get("blocks", 2),
-                       scale_bound=arch.get("scale_bound", 3.0), rng=rng)
+                       blocks=arch.get("blocks", 2), rng=rng)
     raise ValueError(f"unknown method {method!r}")

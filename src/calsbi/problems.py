@@ -5,7 +5,7 @@ x = m(theta) + sigma * eps, so the likelihood is Gaussian around a known map
 and prior x likelihood is an exact oracle up to a constant per observation
 (`LikelihoodPosterior`); `oracle_posterior` prefers a closed form where one
 exists. The registry is the single source of truth for all problem
-constants.
+constants; `problem_for` maps an id and dimensions to a registry problem.
 
 Problems:
   gaussian-linear  identity map, standard normal prior; conjugate posterior
@@ -18,11 +18,12 @@ Gaussian mixtures (0.7/0.3 weights).
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LOG_2PI, GaussianLinearPosterior, Prior, sum_sq_scaled
+from .estimators import (LOG_2PI, GaussianLinearPosterior, Prior, _rows,
+                         sum_sq_scaled)
 
 FILE_MAGIC = b"SBID"
 FILE_VERSION = 1
@@ -45,12 +46,10 @@ class Problem:
     noise_sigma: float
     mean_fn: object             # theta rows -> observation means
 
-    def simulate(self, thetas, rng, zero_noise=False):
+    def simulate(self, thetas, rng):
         """Vectorized simulator x = m(theta) + sigma * eps."""
         thetas = np.asarray(thetas, dtype=np.float64).reshape(-1, self.dim_theta)
         mean = self.mean_fn(thetas)
-        if zero_noise:
-            return mean
         return mean + self.noise_sigma * rng.standard_normal(mean.shape)
 
 
@@ -88,11 +87,24 @@ def get_problem(problem_id, **kwargs):
     return _REGISTRY[problem_id](**kwargs)
 
 
+def problem_for(problem_id, dim_theta, dim_x):
+    """The registry problem `problem_id` at (dim_theta, dim_x); ValueError
+    if the id is unknown or the problem has other dimensions."""
+    if not isinstance(problem_id, str) or problem_id not in _REGISTRY:
+        raise ValueError(f"unknown problem id {problem_id!r}; "
+                         f"known: {sorted(_REGISTRY)}")
+    sized = {"dim": dim_theta} if problem_id == "gaussian-linear" else {}
+    problem = get_problem(problem_id, **sized)
+    if (problem.dim_theta, problem.dim_x) != (dim_theta, dim_x):
+        raise ValueError(f"problem {problem_id!r} has dim_theta "
+                         f"{problem.dim_theta} and dim_x {problem.dim_x}, "
+                         f"not {dim_theta} and {dim_x}")
+    return problem
+
+
 def problem_for_dataset(ds):
-    """The problem a dataset was drawn from, sized to its parameter dimension."""
-    if ds.problem_id == "gaussian-linear":
-        return get_problem("gaussian-linear", dim=ds.dim_theta)
-    return get_problem(ds.problem_id)
+    """The problem a dataset was drawn from, at the dataset's dimensions."""
+    return problem_for(ds.problem_id, ds.dim_theta, ds.dim_x)
 
 
 # -- datasets -----------------------------------------------------------------
@@ -238,8 +250,8 @@ class LikelihoodPosterior:
 
     def log_density(self, theta, x):
         """Log joint density of paired (theta, x) rows."""
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1, self.dim_theta)
-        x = np.asarray(x, dtype=np.float64).reshape(-1, self.problem.dim_x)
+        theta = _rows(theta, self.dim_theta, "theta")
+        x = _rows(x, self.problem.dim_x, "x")
         return self._log_joint(self.problem.prior.log_density(theta),
                                self.problem.mean_fn(theta), x)
 
@@ -253,11 +265,11 @@ class LikelihoodPosterior:
         G * (1 + dim_x) floats) live as long as the posterior.
         """
         if self._grid is None or self._grid[0] is not grid:
-            rows = np.asarray(grid, dtype=np.float64).reshape(-1, self.dim_theta)
+            rows = _rows(grid, self.dim_theta, "grid")
             self._grid = (grid, self.problem.prior.log_density(rows)[None, :],
                           self.problem.mean_fn(rows)[None])
         _, log_prior, means = self._grid
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1, self.problem.dim_x)
+        xs = _rows(xs, self.problem.dim_x, "xs")
         return self._log_joint(log_prior, means, xs[:, None, :], out)
 
 
@@ -326,8 +338,6 @@ class Mixture1D:
     weights: tuple
     means: tuple
     sigmas: tuple
-    normalized: bool = field(default=True)
-    dim_theta: int = field(default=1)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -335,10 +345,6 @@ class Mixture1D:
         for w, m, s in zip(self.weights, self.means, self.sigmas):
             out += w * np.exp(-0.5 * ((t - m) / s) ** 2) / (s * np.sqrt(2 * np.pi))
         return out
-
-    def log_density(self, theta, x=None):
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        return np.log(self.pdf(theta))
 
     def sample(self, rng, count):
         comp = rng.random(count) < self.weights[1]

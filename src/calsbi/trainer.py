@@ -3,7 +3,8 @@
 The objective is base + weight * regularizer, minimized with AdamW after
 global gradient-norm clipping. Training is deterministic given (config,
 dataset): all randomness flows from fixed substreams of the config seed.
-Checkpoints are a binary format with bit-exact parameter round-trips.
+Checkpoints are a binary format with bit-exact parameter round-trips; a
+checkpoint names its problem, and its prior comes from the registry.
 """
 
 import json
@@ -11,19 +12,19 @@ import os
 import struct
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import covreg
 from .autodiff import Value
-from .estimators import Prior, build_model
+from .estimators import build_model
 from .optim import AdamW, clip_grad_norm
-from .problems import BoundedReader, problem_for_dataset
+from .problems import BoundedReader, problem_for, problem_for_dataset
 
 CHECKPOINT_MAGIC = b"CALC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainAbort(RuntimeError):
@@ -204,7 +205,10 @@ def _split(dataset, fraction):
 
 
 def train(config, dataset, problem=None, out_dir=None):
-    """Run the full loop; returns the trained model, report, and best params."""
+    """Run the full loop; returns the trained model, report, and best params.
+
+    `problem` must be the dataset's registry problem; None looks it up.
+    """
     if dataset.problem_id != config.problem_id:
         raise ValueError(f"dataset problem {dataset.problem_id!r} does not match "
                          f"config problem {config.problem_id!r}")
@@ -270,26 +274,17 @@ def train(config, dataset, problem=None, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         final = os.path.join(out_dir, "model.calc")
-        save_checkpoint(final, model, config, problem.prior)
+        save_checkpoint(final, model, config)
         report.checkpoint_path = final
         best = os.path.join(out_dir, "model_best.calc")
         save_checkpoint(best, result.best_model(problem.prior, dataset.dim_x),
-                        config, problem.prior)
+                        config)
         report.best_checkpoint_path = best
         report.to_csv(os.path.join(out_dir, "train.csv"))
     return result
 
 
 # -- checkpoint io ---------------------------------------------------------------
-
-
-def _config_blob(config, prior, dim_x):
-    prior_spec = {"kind": prior.kind, "dim": prior.dim}
-    if prior.kind == "uniform-box":
-        prior_spec.update(low=prior.low.tolist(), high=prior.high.tolist())
-    else:
-        prior_spec.update(mean=prior.mean.tolist(), scale=prior.scale.tolist())
-    return {"train": asdict(config), "prior": prior_spec, "dim_x": dim_x}
 
 
 def _blob_entry(path, mapping, key):
@@ -302,21 +297,12 @@ def _blob_entry(path, mapping, key):
     return mapping[key]
 
 
-def _prior_from_spec(path, spec):
-    kind = _blob_entry(path, spec, "kind")
-    if kind == "uniform-box":
-        return Prior.uniform_box(_blob_entry(path, spec, "low"),
-                                 _blob_entry(path, spec, "high"))
-    if kind == "diagonal-gaussian":
-        return Prior.gaussian(_blob_entry(path, spec, "mean"),
-                              _blob_entry(path, spec, "scale"))
-    raise ValueError(f"{path}: unknown prior kind {kind!r}")
-
-
-def save_checkpoint(path, model, config, prior):
-    """Write magic, version, method tag, config blob, named parameter records."""
+def save_checkpoint(path, model, config):
+    """Write magic, version, method tag, config blob (training recipe and
+    model dimensions), named parameter records."""
     params = model.parameters()
-    blob = json.dumps(_config_blob(config, prior, model.dim_x)).encode()
+    blob = json.dumps({"train": asdict(config), "dim_theta": model.dim_theta,
+                       "dim_x": model.dim_x}).encode()
     method = model.method.encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -336,7 +322,8 @@ def save_checkpoint(path, model, config, prior):
 
 
 def load_checkpoint(path):
-    """Rebuild the model with bit-identical parameters; returns (model, blob)."""
+    """Rebuild the model on the prior of the registry problem its blob names,
+    with bit-identical parameters; returns (model, blob)."""
     r = BoundedReader(path, "checkpoint")
     if r.take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
@@ -352,14 +339,19 @@ def load_checkpoint(path):
     if blob_method != method:
         raise ValueError(f"{path}: method tag {method!r} disagrees with the "
                          f"config's {blob_method!r}")
-    prior = _prior_from_spec(path, _blob_entry(path, blob, "prior"))
+    problem_id = _blob_entry(path, cfg, "problem_id")
     arch = {k: cfg[k] for k in ("hidden", "embed_dim", "blocks") if k in cfg}
-    dim_x = _blob_entry(path, blob, "dim_x")
-    for key, size in {**arch, "dim_x": dim_x}.items():
+    dims = {k: _blob_entry(path, blob, k) for k in ("dim_theta", "dim_x")}
+    for key, size in {**arch, **dims}.items():
         if type(size) is not int or size < 1:
             raise ValueError(f"{path}: config blob {key!r} must be a positive "
                              f"integer, got {size!r}")
-    model = build_model(method, prior, dim_x, arch, rng=np.random.default_rng(0))
+    try:
+        problem = problem_for(problem_id, **dims)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    model = build_model(method, problem.prior, dims["dim_x"], arch,
+                        rng=np.random.default_rng(0))
     params = model.parameters()
     (n_params,) = r.unpack("<I")
     if n_params != len(params):
@@ -408,8 +400,7 @@ def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
             model = build_model(config.method, problem.prior, dataset.dim_x,
                                 config.arch(), rng=rng_init)
             opt = AdamW(model.parameters(), lr=config.learning_rate)
-            reg = covreg.RegConfig(mode="conservative", num_samples=count,
-                                   weight=config.reg.weight if config.reg else 5.0)
+            reg = replace(config.reg or covreg.RegConfig(), num_samples=count)
             step = (model, opt, dataset.thetas[:config.batch_size],
                     dataset.xs[:config.batch_size], reg, config.clip_norm,
                     (rng_neg, rng_reg), problem.prior)

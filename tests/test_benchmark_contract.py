@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from calsbi import cli, covreg, diagnostics
+from calsbi import cli, covreg, diagnostics, problems, trainer
 from calsbi.estimators import NpeFlow
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
@@ -116,7 +116,16 @@ def test_traced_flow_grid_audit_embeds_each_observation_once():
     assert (counts["grid_embed_rows"], counts["grid_pairs"]) == (3, 3)
 
 
-def test_cli_helpers_the_benchmark_job_calls_exist():
+def test_cli_helpers_the_benchmark_job_calls_exist(tmp_path):
     for name in ("_reg_config_from", "_metrics_for_curve", "problem_for_dataset",
                  "write_manifest", "build_parser"):
         assert callable(getattr(cli, name)), name
+    assert cli.problem_for_dataset is problems.problem_for_dataset
+    # the call shapes of perfbench/job.py's run_train and run_eval
+    ds = simulate_dataset("gaussian-linear", 16, seed=0)
+    config = trainer.TrainConfig(method="nre", epochs=1, batch_size=8, hidden=4,
+                                 embed_dim=2)
+    result = trainer.train(config, ds, problem=cli.problem_for_dataset(ds),
+                           out_dir=str(tmp_path / "run"))
+    loaded = trainer.load_checkpoint(result.report.checkpoint_path)
+    assert isinstance(loaded, tuple) and len(loaded) == 2

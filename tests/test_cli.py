@@ -1,10 +1,11 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from calsbi.cli import main
-from calsbi.problems import get_problem, load_dataset, simulate_dataset
+from calsbi.problems import Dataset, get_problem, load_dataset, simulate_dataset
 
 
 def run(argv):
@@ -207,6 +208,65 @@ def test_eval_grid_on_three_parameters_exits_two_before_any_output(tmp_path,
                 "--L", "16", "--out-dir", str(out)])
     assert code == 2
     assert "grid-hpdr coverage supports dim_theta <= 2 only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem_id,dim_theta,dim_x", [
+    ("nonlinear-2d", 1, 4), ("gaussian-linear", 2, 3),
+])
+def test_set_with_dimensions_its_problem_lacks_exits_two(tmp_path, capsys,
+                                                         problem_id, dim_theta,
+                                                         dim_x):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "bad.sbid"
+    Dataset(problem_id, 0, dim_theta, dim_x, rng.uniform(-1, 1, (16, dim_theta)),
+            rng.standard_normal((16, dim_x))).save(data)
+    out = tmp_path / "out"
+    runs = [["eval", "--oracle", "--ecp", "grid", "--grid-res", "16"],
+            ["train", "--method", "nre", "--epochs", "1", "--batch", "8"],
+            ["train", "--method", "npe", "--epochs", "1", "--batch", "8"]]
+    for argv in runs:
+        code = run([*argv, "--data", str(data), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert f"problem {problem_id!r} has dim_theta" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def nre_checkpoint(tmp_path_factory, data_file):
+    out = tmp_path_factory.mktemp("runs") / "nre"
+    assert run(["train", "--method", "nre", "--reg", "none", "--data", data_file,
+                "--out-dir", str(out), "--epochs", "1", "--batch", "64"]) == 0
+    return str(out / "model.calc")
+
+
+@pytest.mark.parametrize("problem_id,kwargs", [
+    ("nonlinear-2d", {}), ("gaussian-linear", {"dim": 1}),
+])
+def test_eval_checkpoint_on_a_set_of_another_problem_exits_two(
+        nre_checkpoint, tmp_path, capsys, problem_id, kwargs):
+    data = tmp_path / "other.sbid"
+    simulate_dataset(get_problem(problem_id, **kwargs), 16, seed=2).save(data)
+    out = tmp_path / "e"
+    code = run(["eval", "--checkpoint", nre_checkpoint, "--data", str(data),
+                "--L", "16", "--out-dir", str(out)])
+    assert code == 2
+    assert "was trained on (problem, dim_theta, dim_x)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_version_one_checkpoint_exits_two(run_dir, data_file, tmp_path,
+                                               capsys):
+    raw = open(os.path.join(run_dir, "model.calc"), "rb").read()
+    old = tmp_path / "v1.calc"
+    old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    out = tmp_path / "e"
+    code = run(["eval", "--checkpoint", str(old), "--data", data_file,
+                "--out-dir", str(out)])
+    assert code == 2
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -409,6 +409,6 @@ def test_build_model_round_trips_architecture(rng):
     for method in ("nre", "npe"):
         model = build_model(method, prior, 2, {"hidden": 16, "embed_dim": 8}, rng=rng)
         assert model.method == method
-        assert model.arch()["hidden"] == 16
+        assert model.hidden == 16
     with pytest.raises(ValueError):
         build_model("mcmc", prior, 2, {}, rng=rng)

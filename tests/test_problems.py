@@ -7,6 +7,7 @@ from calsbi.estimators import GaussianLinearPosterior, NpeFlow, NreModel
 from calsbi.problems import (LikelihoodPosterior, analytic_posterior,
                              get_problem, grid_layout, load_dataset,
                              mixture_demo_densities, oracle_posterior,
+                             problem_for, problem_for_dataset,
                              simulate_dataset, MIXTURE_BLACK_SIGMAS,
                              MIXTURE_RED_SIGMAS, MIXTURE_WEIGHTS)
 
@@ -14,8 +15,7 @@ from calsbi.problems import (LikelihoodPosterior, analytic_posterior,
 def test_zero_noise_simulation_is_identity():
     problem = get_problem("gaussian-linear")
     theta = np.array([[0.3, -0.7]])
-    x = problem.simulate(theta, np.random.default_rng(0), zero_noise=True)
-    np.testing.assert_array_equal(x, theta)
+    np.testing.assert_array_equal(problem.mean_fn(theta), theta)
 
 
 def test_same_seed_gives_bit_identical_datasets():
@@ -35,6 +35,35 @@ def test_unknown_problem_and_bad_count_fail():
         simulate_dataset("slcp", 10, seed=0)
     with pytest.raises(ValueError):
         simulate_dataset("gaussian-linear", 0, seed=0)
+
+
+@pytest.mark.parametrize("problem_id,dim_theta,dim_x", [
+    ("slcp", 2, 2),
+    (["gaussian-linear"], 2, 2),
+    ("gaussian-linear", 2, 3),
+    ("gaussian-linear", 1, 2),
+    ("nonlinear-2d", 1, 2),
+    ("nonlinear-2d", 2, 4),
+    ("nonlinear-2d", 1, 4),
+], ids=["unknown-id", "id-not-a-string", "gaussian-dim-x", "gaussian-dim-theta",
+        "nonlinear-dim-theta", "nonlinear-dim-x", "nonlinear-both"])
+def test_problem_for_rejects_unknown_ids_and_other_dimensions(problem_id,
+                                                              dim_theta, dim_x):
+    with pytest.raises(ValueError, match="unknown problem id|has dim_theta"):
+        problem_for(problem_id, dim_theta, dim_x)
+
+
+@pytest.mark.parametrize("problem_id,kwargs", [
+    ("gaussian-linear", {"dim": 1}), ("gaussian-linear", {}),
+    ("gaussian-linear", {"dim": 3}), ("nonlinear-2d", {}),
+])
+def test_problem_for_dataset_returns_the_problem_the_set_was_drawn_from(problem_id,
+                                                                       kwargs):
+    drawn_from = get_problem(problem_id, **kwargs)
+    found = problem_for_dataset(simulate_dataset(drawn_from, 8, seed=0))
+    assert (found.id, found.dim_theta, found.dim_x, found.noise_sigma) == (
+        drawn_from.id, drawn_from.dim_theta, drawn_from.dim_x, drawn_from.noise_sigma)
+    np.testing.assert_equal(vars(found.prior), vars(drawn_from.prior))
 
 
 def test_simulated_parameters_respect_prior_support():
@@ -199,6 +228,22 @@ def test_grid_log_density_is_minus_inf_outside_bounds():
     for ld in (rows, grid):
         assert ld[0] == ld[1] == -np.inf
         assert np.isfinite(ld[2])
+
+
+def test_likelihood_oracle_rejects_mis_shaped_rows():
+    # never a silent reshape: (2, 4) parameters are not four 2-D rows
+    problem = get_problem("nonlinear-2d")
+    oracle = LikelihoodPosterior(problem)
+    with pytest.raises(ValueError, match="theta must"):
+        oracle.log_density(np.zeros((2, 4)), np.ones((4, 2)))
+    with pytest.raises(ValueError, match="x must"):
+        oracle.log_density(np.zeros((2, 2)), np.ones((1, 4)))
+    points = grid_layout(problem, 8).points
+    with pytest.raises(ValueError, match="xs must"):
+        oracle.log_density_grid(points, np.ones((2, 4)))
+    with pytest.raises(ValueError, match="grid must"):
+        LikelihoodPosterior(problem).log_density_grid(points.reshape(-1, 4),
+                                                      np.ones((1, 2)))
 
 
 GRID_ORACLES = {

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import struct
 
@@ -279,6 +281,13 @@ def test_train_and_overhead_probe_run_the_same_step(gl_dataset, monkeypatch):
     measure_step_overhead(small_config(batch_size=32, reg=reg), gl_dataset,
                           sample_counts=(1, 4), steps=2, repeats=1)
     assert [r.num_samples for r in calls] == [1] * 5 + [4] * 5
+    # the probe times the configured regularizer, only its sample count varies
+    direct = covreg.RegConfig(mode="calibration", loss_form="direct", weight=2.0,
+                              levels=(0.25, 0.75), temperature=0.5)
+    calls.clear()
+    measure_step_overhead(small_config(batch_size=32, reg=direct), gl_dataset,
+                          sample_counts=(3,), steps=1, repeats=1)
+    assert calls == [dataclasses.replace(direct, num_samples=3)] * 4
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -286,9 +295,8 @@ def test_train_and_overhead_probe_run_the_same_step(gl_dataset, monkeypatch):
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, gl_dataset):
     result = train(small_config(method="nre"), gl_dataset)
-    problem = get_problem("gaussian-linear")
     path = tmp_path / "model.calc"
-    save_checkpoint(path, result.model, result.config, problem.prior)
+    save_checkpoint(path, result.model, result.config)
     loaded, blob = load_checkpoint(path)
     assert loaded.method == "nre"
     assert blob["train"]["epochs"] == 3
@@ -300,21 +308,20 @@ def test_checkpoint_blob_carries_regularizer_recipe(tmp_path, gl_dataset):
     reg = covreg.RegConfig(mode="calibration", loss_form="direct", weight=2.5,
                            num_samples=8, levels=(0.2, 0.5, 0.8))
     result = train(small_config(reg=reg), gl_dataset)
-    problem = get_problem("gaussian-linear")
     path = tmp_path / "model.calc"
-    save_checkpoint(path, result.model, result.config, problem.prior)
+    save_checkpoint(path, result.model, result.config)
     _, blob = load_checkpoint(path)
     assert blob["train"]["reg"]["mode"] == "calibration"
     assert blob["train"]["reg"]["weight"] == 2.5
     assert blob["train"]["seed"] == 1
-    assert blob["prior"]["kind"] == "diagonal-gaussian"
+    assert blob["train"]["problem_id"] == "gaussian-linear"
+    assert blob["dim_theta"] == 2
 
 
 def test_checkpoint_rejects_bad_magic_and_truncation(tmp_path, gl_dataset):
     result = train(small_config(), gl_dataset)
-    problem = get_problem("gaussian-linear")
     path = tmp_path / "model.calc"
-    save_checkpoint(path, result.model, result.config, problem.prior)
+    save_checkpoint(path, result.model, result.config)
     raw = path.read_bytes()
     bad = tmp_path / "bad.calc"
     bad.write_bytes(b"NOPE" + raw[4:])
@@ -332,7 +339,7 @@ def tiny_checkpoint(path, method="nre", config_method=None):
     config = small_config(method=config_method or method, hidden=4, embed_dim=2)
     model = build_model(method, prior, 2, config.arch(),
                         rng=np.random.default_rng(0))
-    save_checkpoint(path, model, config, prior)
+    save_checkpoint(path, model, config)
     return model
 
 
@@ -357,7 +364,7 @@ def test_checkpoint_rejects_parameter_of_wrong_shape(tmp_path):
     model = build_model("nre", prior, 2, config.arch(),
                         rng=np.random.default_rng(0))
     model.x_net.params["x_net.w0"].data = np.full((1, 1), 7.0)
-    save_checkpoint(path, model, config, prior)
+    save_checkpoint(path, model, config)
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(path)
 
@@ -397,7 +404,7 @@ def test_checkpoint_rejects_config_blob_that_is_not_an_object(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key", ["train", "prior", "dim_x"])
+@pytest.mark.parametrize("key", ["train", "problem_id", "dim_theta", "dim_x"])
 def test_checkpoint_names_a_missing_config_key(tmp_path, key):
     path = tmp_path / "model.calc"
     tiny_checkpoint(path)
@@ -406,6 +413,25 @@ def test_checkpoint_names_a_missing_config_key(tmp_path, key):
     path.write_bytes(raw.replace(f'"{key}"'.encode(), f'"{key[::-1]}"'.encode()))
     with pytest.raises(ValueError, match=f"no '{key}'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("train,dims,message", [
+    ({"problem_id": "weinberg"}, {}, "unknown problem id 'weinberg'"),
+    ({"problem_id": ["gaussian-linear"]}, {}, "unknown problem id"),
+    ({}, {"dim_theta": 3}, "has dim_theta 3 and dim_x 3, not 3 and 2"),
+    ({"problem_id": "nonlinear-2d"}, {"dim_theta": 1, "dim_x": 4}, "has dim_theta 2"),
+], ids=["unknown-id", "id-not-a-string", "gaussian-dims", "nonlinear-dims"])
+def test_checkpoint_naming_a_problem_the_registry_lacks_is_rejected(tmp_path, train,
+                                                                   dims, message):
+    path = tmp_path / "model.calc"
+    tiny_checkpoint(path)
+    _, blob = load_checkpoint(path)
+    blob["train"].update(train)
+    blob.update(dims)
+    _with_blob(path, json.dumps(blob).encode())
+    with pytest.raises(ValueError, match=message) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_checkpoint_single_bit_flips_raise_only_value_error(tmp_path):
@@ -430,9 +456,8 @@ def test_loaded_model_reproduces_expected_log_density(tmp_path, gl_dataset):
     from calsbi.diagnostics import expected_log_posterior
 
     result = train(small_config(), gl_dataset)
-    problem = get_problem("gaussian-linear")
     path = tmp_path / "model.calc"
-    save_checkpoint(path, result.model, result.config, problem.prior)
+    save_checkpoint(path, result.model, result.config)
     loaded, _ = load_checkpoint(path)
     test = simulate_dataset("gaussian-linear", 200, seed=9)
     a = expected_log_posterior(result.model, test.thetas, test.xs).value
