@@ -5,9 +5,12 @@ Arrays are numpy float64 throughout; gradients accumulate additively, so
 calling backward twice without resetting doubles them. Backward closures
 build no gradient for operands that do not require one (data, shifts,
 targets), and `dense` fuses a layer's matmul, bias and SELU into one node.
+Under `no_grad` inside a `workspace()`, the forward ops write their results
+into pooled arrays, so row-block loops stop allocating after one block.
 """
 
 import contextlib
+import sys
 
 import numpy as np
 
@@ -22,6 +25,7 @@ class ShapeError(ValueError):
 
 _grad_enabled = True
 _pass_grads = None
+_pool = None
 
 
 @contextlib.contextmanager
@@ -34,6 +38,69 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextlib.contextmanager
+def workspace():
+    """Pool the result arrays of the no_grad ops run inside the block.
+
+    Under `no_grad`, the elementwise ops, `neg`, `exp`, `tanh`, `square`,
+    `sum(axis, keepdims=True)`, `concat`, `repeat_rows` and `dense` write
+    into arrays kept per shape, and an array is handed out again only when
+    nothing else refers to it: no Value, no view, no name. Live results are
+    therefore never overwritten and need no copy, and a loop over row blocks
+    of one shape allocates only in its first block. With grad on, ops
+    allocate as they do outside. Yields the pool, a dict shape -> arrays,
+    which is dropped on exit.
+    """
+    global _pool
+    prev = _pool
+    _pool = {}
+    try:
+        yield _pool
+    finally:
+        _pool = prev
+
+
+def _first_free(arrays, refs):
+    """The first of `arrays` holding exactly `refs` references here, or None."""
+    for arr in arrays:
+        if sys.getrefcount(arr) == refs:
+            return arr
+    return None
+
+
+# References an array that only its pool list holds has inside `_first_free`
+# (the list, the loop name, getrefcount's argument, as this interpreter counts)
+_FREE_REFS = next(r for r in range(1, 16) if _first_free([np.empty(0)], r) is not None)
+
+
+def _buffer(shape):
+    """A pooled float64 array of `shape` for an op's result, or None.
+
+    None (the op allocates) unless grad is off inside a `workspace()`.
+    """
+    if _pool is None or _grad_enabled:
+        return None
+    arrays = _pool.get(shape)
+    if arrays is None:
+        arrays = _pool[shape] = []
+    arr = _first_free(arrays, _FREE_REFS)
+    if arr is None:
+        arr = np.empty(shape)
+        arrays.append(arr)
+    return arr
+
+
+def _broadcast_shape(s, t):
+    """np.broadcast_shapes(s, t), without its cost in the common cases."""
+    if s == t or t == (1,):
+        return s
+    if s == (1,):
+        return t
+    if len(s) == len(t) and 0 not in s + t:
+        return tuple(map(max, s, t))    # shapes that do not broadcast fail in the op
+    return np.broadcast_shapes(s, t)
 
 
 def _as_array(data):
@@ -140,8 +207,11 @@ class Value:
 
     @staticmethod
     def _elementwise(op, a, b, fn):
+        x, y = a.data, b.data
         try:
-            return fn(a.data, b.data)
+            if _pool is None:
+                return fn(x, y)
+            return fn(x, y, out=_buffer(_broadcast_shape(x.shape, y.shape)))
         except ValueError as exc:
             raise ShapeError(f"{op}: incompatible shapes {a.data.shape} "
                              f"and {b.data.shape}") from exc
@@ -163,7 +233,8 @@ class Value:
 
     def __neg__(self):
         a = self
-        return Value._node(-a.data, (a,), "neg", lambda g: a._accum(-g))
+        out = np.negative(a.data, out=_buffer(a.data.shape))
+        return Value._node(out, (a,), "neg", lambda g: a._accum(-g))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -230,7 +301,12 @@ class Value:
 
     def sum(self, axis=None, keepdims=False):
         a = self
-        out = a.data.sum(axis=axis, keepdims=keepdims)
+        buf = None
+        if keepdims and axis is not None:
+            shape = list(a.data.shape)
+            shape[axis] = 1
+            buf = _buffer(tuple(shape))
+        out = a.data.sum(axis=axis, keepdims=keepdims, out=buf)
 
         def backward(g):
             if axis is not None and not keepdims:
@@ -247,7 +323,7 @@ class Value:
 
     def exp(self):
         a = self
-        out = np.exp(a.data)
+        out = np.exp(a.data, out=_buffer(a.data.shape))
         return Value._node(out, (a,), "exp", lambda g: a._accum(g * out))
 
     def log(self):
@@ -256,7 +332,8 @@ class Value:
 
     def square(self):
         a = self
-        return Value._node(a.data * a.data, (a,), "square",
+        out = np.multiply(a.data, a.data, out=_buffer(a.data.shape))
+        return Value._node(out, (a,), "square",
                            lambda g: a._accum(2.0 * g * a.data))
 
     def abs(self):
@@ -277,7 +354,7 @@ class Value:
 
     def tanh(self):
         a = self
-        out = np.tanh(a.data)
+        out = np.tanh(a.data, out=_buffer(a.data.shape))
         return Value._node(out, (a,), "tanh", lambda g: a._accum(g * (1.0 - out * out)))
 
     def selu(self):
@@ -326,7 +403,9 @@ def concat(values, axis=1):
                 d.shape[i] != base[i] for i in range(len(base)) if i != axis):
             raise ShapeError(f"concat axis={axis}: incompatible shapes "
                              f"{[d.shape for d in datas]}")
-    out = np.concatenate(datas, axis=axis)
+    shape = list(base)
+    shape[axis] = sum(d.shape[axis] for d in datas)
+    out = np.concatenate(datas, axis=axis, out=_buffer(tuple(shape)))
     splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def backward(g):
@@ -342,7 +421,13 @@ def repeat_rows(v, k):
     if v.data.ndim != 2:
         raise ShapeError(f"repeat_rows expects 2D input, got {v.data.shape}")
     n, m = v.data.shape
-    out = np.repeat(v.data, k, axis=0)
+    out = _buffer((n * k, m))
+    if out is None or m == 0:
+        out = np.repeat(v.data, k, axis=0)
+    else:
+        # each row one void item, so the copy loops over k rather than m
+        row = np.dtype((np.void, 8 * m))
+        out.view(row).reshape(n, k)[...] = np.ascontiguousarray(v.data).view(row)
     return Value._node(out, (v,), "repeat_rows",
                        lambda g: v._accum(g.reshape(n, k, m).sum(axis=1)))
 
@@ -369,14 +454,14 @@ def dense(x, w, b, selu=False):
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.data.shape} @ {w.data.shape}")
-    out = x.data @ w.data
+    out = np.matmul(x.data, w.data, out=_buffer((x.data.shape[0], w.data.shape[1])))
     try:
         out += b.data
     except ValueError as exc:
         raise ShapeError(f"dense: bias shape {b.data.shape} does not fit "
                          f"output shape {out.shape}") from exc
     if selu:
-        neg = np.minimum(out, 0.0)
+        neg = np.minimum(out, 0.0, out=_buffer(out.shape))
         np.expm1(neg, out=neg)
         neg *= SELU_ALPHA
         np.maximum(out, 0.0, out=out)

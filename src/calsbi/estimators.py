@@ -17,7 +17,10 @@ The two trained models share one surface (`NetworkPosterior`):
 The numpy surface is the graph surface run under ``no_grad``, and the
 prior's numpy density is its graph density the same way, so the surfaces
 agree bit for bit, off the prior's support (-inf) included, and embedded
-and direct evaluation are bit-identical.
+and direct evaluation are bit-identical. The flow has a grid pass of its
+own: its first inverse block sees one grid coordinate, so its network runs
+once per distinct coordinate value and the result is gathered onto the
+grid rows, which still equal paired rows bit for bit.
 """
 
 import math
@@ -30,9 +33,9 @@ from .autodiff import Value, concat, dense
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Network densities are evaluated this many (parameter, embedding) rows at a
-# time, so one block's hidden activations are 0.5 MB at width 8. On 512^2
-# grids, blocks of 4k-8k rows ran fastest; at 32k rows the minor page faults
-# of the temporaries came back (187k against 1.5k on 8 pairs).
+# time, so one block's hidden activations are 0.5 MB at width 8 and a rank
+# audit's array pool (`autodiff.workspace`) stays a few MB. On 512^2 grids,
+# blocks of 4k-8k rows ran fastest.
 ROW_BLOCK = 8192
 
 
@@ -291,23 +294,30 @@ class NpeFlow(NetworkPosterior):
         z = concat(halves, axis=1)
         return z if self._order is None else z[:, self._order]
 
-    def _invert_block(self, net, cond, moved, x_emb):
+    def _invert_block(self, net, cond, moved, x_emb, scale_shift=None):
         """One block backwards: (the moved half before it, its log-scale row sums).
 
+        `scale_shift` is the block's (s, shift) when the caller has it;
+        otherwise the block's network computes it from `cond` and `x_emb`.
         A method of its own so that the block's scale and shift are freed
         before the next block's network runs; on 512^2 grid rows per pair
         that lowers the peak memory of a flow's grid-HPDR audit by ~20 MB.
         """
-        s, shift = self._scale_shift(net, cond, x_emb)
+        s, shift = scale_shift or self._scale_shift(net, cond, x_emb)
         return (moved - shift) * (-s).exp(), s.sum(axis=1, keepdims=True)
 
-    def _pull_back(self, theta, x_emb):
-        """Invert the flow: theta -> (base point z, inverse log-determinant)."""
+    def _pull_back(self, theta, x_emb, first=None):
+        """Invert the flow: theta -> (base point z, inverse log-determinant).
+
+        `first` is the (s, shift) of the first inverse block if the caller
+        has computed it, as the grid pass does.
+        """
         halves = [theta[:, 0::2], theta[:, 1::2]]
         logdet = Value(np.zeros((theta.data.shape[0], 1)))
         for parity, net in reversed(self.coupling):
             halves[1 - parity], log_scale = self._invert_block(
-                net, halves[parity], halves[1 - parity], x_emb)
+                net, halves[parity], halves[1 - parity], x_emb, first)
+            first = None
             logdet = logdet - log_scale
         return self._merge(halves), logdet
 
@@ -318,13 +328,56 @@ class NpeFlow(NetworkPosterior):
             halves[1 - parity] = halves[1 - parity] * s.exp() + shift
         return self._merge(halves)
 
-    def log_density_graph(self, theta, x_emb):
-        """Base log density of the inverse-mapped point plus the inverse log-det."""
-        z, logdet = self._pull_back(theta, x_emb)
+    def log_density_graph(self, theta, x_emb, first=None):
+        """Base log density of the inverse-mapped point plus the inverse log-det.
+
+        `first` passes the first inverse block's (s, shift) to `_pull_back`.
+        """
+        z, logdet = self._pull_back(theta, x_emb, first)
         base = z.square().sum(axis=1, keepdims=True) * (-0.5) - 0.5 * self.dim_theta * LOG_2PI
         if not np.all(np.isfinite(base.data)) or not np.all(np.isfinite(logdet.data)):
             raise FloatingPointError("non-finite value in flow inverse pass")
         return base + logdet
+
+    def log_density_grid(self, grid, xs, out=None):
+        """(n_x, n_grid) log densities, written into `out` when one is given.
+
+        The grid runs in blocks of `ROW_BLOCK` rows, each block for every
+        observation in turn, and each observation is embedded once. The
+        first inverse block conditions on one half of theta only: a grid
+        coordinate with `resolution` distinct values for 2-D theta, nothing
+        for 1-D. Its network therefore runs once per distinct value in a
+        block, and its s and shift are gathered onto the block's rows; the
+        other blocks and the base density run on all rows. A row equals
+        paired `log_density` bit for bit. Beyond two dimensions the halves
+        have several columns and the paired-row surface is used.
+        """
+        grid = _rows(grid, self.dim_theta, "grid")
+        if self.dim_theta > 2:
+            return super().log_density_grid(grid, xs, out)
+        emb = self.embed(xs)
+        if out is None:
+            out = np.empty((emb.shape[0], grid.shape[0]))
+        parity, net = self.coupling[-1]
+        with ad.no_grad():
+            for lo in range(0, grid.shape[0], ROW_BLOCK):
+                theta = grid[lo:lo + ROW_BLOCK]
+                cond = theta[:, parity::2]          # one column or none
+                key = cond[:, 0] if cond.shape[1] else np.zeros(len(cond))
+                _, first, index = np.unique(key, return_index=True,
+                                            return_inverse=True)
+                # numpy's matmul sends a single row through gemv, whose sums
+                # may differ from gemm's in the last bit; two rows keep gemm
+                first = np.resize(first, max(first.size, 2))
+                for i in range(emb.shape[0]):
+                    e = Value(emb[i:i + 1])
+                    s, shift = self._scale_shift(net, Value(cond[first]),
+                                                 ad.repeat_rows(e, first.size))
+                    out[i, lo:lo + len(theta)] = self.log_density_graph(
+                        Value(theta), ad.repeat_rows(e, len(theta)),
+                        (ad.gather_rows(s, index), ad.gather_rows(shift, index))
+                    ).data[:, 0]
+        return out
 
     def sample_batch(self, x, rng, count):
         """(n, count, dim_theta) draws, one set per observation row."""

@@ -184,6 +184,9 @@ def load_dataset(path):
     (pid_len,) = r.unpack("<I")
     pid = r.take(pid_len).decode()
     seed, count, dim_theta, dim_x = r.unpack("<QQII")
+    if not (count and dim_theta and dim_x):
+        raise ValueError(f"{path}: empty dataset (count {count}, dim_theta "
+                         f"{dim_theta}, dim_x {dim_x})")
     payload = r.take(count * (dim_theta + dim_x) * 8)
     r.finish()
     rows = np.frombuffer(payload, dtype="<f8").reshape(count, dim_theta + dim_x)

@@ -49,9 +49,9 @@ class RowCounter:
             self.embed_rows += x.data.shape[0]
             return embed(x)
 
-        def counted_density(theta, x_emb):
+        def counted_density(theta, x_emb, *rest):
             self.density_rows += theta.data.shape[0]
-            return density(theta, x_emb)
+            return density(theta, x_emb, *rest)
 
         model.embed_graph = counted_embed
         model.log_density_graph = counted_density

@@ -285,6 +285,75 @@ def test_no_grad_suppresses_graph_recording():
     assert y2.requires_grad
 
 
+# -- workspace pool ----------------------------------------------------------------
+
+
+def pooled_ops(x, w, b, col):
+    """One chain through every op a workspace pools; returns all results."""
+    h = dense(x, w, b, selu=True)
+    z = dense(h, w, b)
+    e = (z * 0.5).tanh() + (-z).exp() / (z.square() + 1.0) - col
+    s = e.sum(axis=1, keepdims=True)
+    c = concat([e, repeat_rows(s, 1), repeat_rows(col[:20], 2)], axis=1)
+    return [h, z, e, s, c, c.sum(axis=0, keepdims=True)]
+
+
+def test_a_held_result_is_never_handed_out_again(rng):
+    x = Value(rng.standard_normal((64, 4)))
+    with ad.no_grad(), ad.workspace() as pool:
+        kept = (x * 2.0).exp()                      # held as a Value
+        copies = [kept.data.copy()]
+        view = (x + 1.0).data[:, :2]                # only a view of it is held
+        copies.append(view.copy())
+        name = (x - 1.0).data                       # only a name holds it
+        copies.append(name.copy())
+        assert len({id(kept.data), id(view.base), id(name)}) == 3
+        for _ in range(3):
+            out = ((x * 3.0).tanh() + x).exp()
+            assert all(out.data is not a and out.data.base is not a
+                       for a in (kept.data, view.base, name))
+        for held, copy in zip((kept.data, view, name), copies):
+            np.testing.assert_array_equal(held, copy)
+        # released results are handed out again: the pool stops growing
+        size = len(pool[(64, 4)])
+        for _ in range(3):
+            out = ((x * 3.0).tanh() + x).exp()
+        assert len(pool[(64, 4)]) == size
+
+
+def test_ops_inside_and_outside_a_workspace_give_bit_identical_data(rng):
+    x = Value(rng.standard_normal((40, 3)))
+    w = Value(rng.standard_normal((3, 3)))
+    b = Value(rng.standard_normal((1, 3)))
+    col = Value(rng.standard_normal((40, 1)))
+    with ad.no_grad():
+        plain = [v.data.copy() for v in pooled_ops(x, w, b, col)]
+        with ad.workspace() as pool:
+            for _ in range(2):                      # the second pass reuses buffers
+                pooled = pooled_ops(x, w, b, col)
+                for got, want in zip(pooled, plain):
+                    np.testing.assert_array_equal(got.data, want)
+            with pytest.raises(ShapeError):
+                x + Value(np.ones((2, 3)))
+    assert pool
+
+
+def test_grad_inside_a_workspace_pools_nothing_and_keeps_gradients(rng):
+    x = Value(rng.standard_normal((40, 3)))
+    w = Value(rng.standard_normal((3, 3)), requires_grad=True)
+    b = Value(rng.standard_normal((1, 3)), requires_grad=True)
+    col = Value(rng.standard_normal((40, 1)), requires_grad=True)
+    pooled_ops(x, w, b, col)[-1].sum().backward()
+    grads = [v.grad for v in (w, b, col)]
+    for v in (w, b, col):
+        v.grad = None
+    with ad.workspace() as pool:
+        pooled_ops(x, w, b, col)[-1].sum().backward()
+    assert pool == {}
+    for v, g in zip((w, b, col), grads):
+        np.testing.assert_array_equal(v.grad, g)
+
+
 def test_straight_through_forwards_hard_and_backwards_soft(rng):
     soft = Value(rng.standard_normal((3, 1)), requires_grad=True)
     hard = np.array([[0.0], [1.0], [1.0]])

@@ -116,6 +116,25 @@ def test_traced_flow_grid_audit_embeds_each_observation_once():
     assert (counts["grid_embed_rows"], counts["grid_pairs"]) == (3, 3)
 
 
+def test_traced_pooled_rank_audit_counts_its_rows_and_keeps_the_flow_grid_pass():
+    # the rank path runs in an array pool; the spans still read every chunk's
+    # pairs and density rows, and NpeFlow's own grid pass survives uninstall
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 10, seed=0)
+    flow = NpeFlow(problem.dim_theta, problem.dim_x, last_scale=0.5)
+    grid_pass = vars(NpeFlow)["log_density_grid"]
+    rec = spans.Recorder()
+    with _installed(rec) as state:
+        diagnostics.rank_statistic_sample(flow, ds.thetas, ds.xs, 64,
+                                          covreg.PriorProposal(problem.prior),
+                                          np.random.default_rng(0), chunk=4)
+    counts = spans.summarize(rec, "diagnostics.rank_sample")["counts"]
+    assert (counts["rank_pairs"], counts["rank_rows"], counts["rank_calls"]) == (10, 10, 3)
+    assert counts["density_rows"] == 10 * (64 + 1)
+    assert state["after"][("calsbi.estimators", "NpeFlow", "log_density_grid")] is grid_pass
+    assert vars(NpeFlow)["log_density_grid"] is grid_pass
+
+
 def test_cli_helpers_the_benchmark_job_calls_exist(tmp_path):
     for name in ("_reg_config_from", "_metrics_for_curve", "problem_for_dataset",
                  "write_manifest", "build_parser"):

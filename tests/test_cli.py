@@ -257,6 +257,24 @@ def test_eval_checkpoint_on_a_set_of_another_problem_exits_two(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count,dim", [(0, 2), (5, 0)])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_set_without_rows_or_dimensions_exits_two_before_any_output(
+        tmp_path, capsys, command, count, dim):
+    data = tmp_path / "empty.sbid"
+    Dataset("gaussian-linear", 0, dim, dim, np.zeros((count, dim)),
+            np.zeros((count, dim))).save(data)
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--oracle", "--ecp", "rank", "--L", "16"]
+    else:
+        argv = ["train", "--method", "nre", "--reg", "none", "--epochs", "1"]
+    code = run(argv + ["--data", str(data), "--out-dir", str(out)])
+    assert code == 2
+    assert "empty dataset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_version_one_checkpoint_exits_two(run_dir, data_file, tmp_path,
                                                capsys):
     raw = open(os.path.join(run_dir, "model.calc"), "rb").read()

@@ -1,9 +1,11 @@
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from calsbi import autodiff as ad
 from calsbi import covreg, estimators
 from calsbi.diagnostics import (DEFAULT_EVAL_LEVELS, CoverageCurve,
                                 calibration_error, conservativeness_error,
@@ -255,10 +257,13 @@ def test_row_blocks_that_split_pairs_leave_coverage_statistics_unchanged(
     model = nonlinear_models[method]
     ds = simulate_dataset(problem, 20, seed=41)
     proposal = covreg.PriorProposal(problem.prior)
+    calls = []      # rows of each network layer call, one list per audit
 
     def statistics():
+        calls.append([])
         alphas = rank_statistic_sample(model, ds.thetas, ds.xs, 64, proposal,
                                        np.random.default_rng(7))
+        calls.append([])
         grid = ecp_grid_hpdr(model, ds.thetas, ds.xs, problem, levels=LEVELS,
                              resolution=64)
         return alphas, grid.ecp
@@ -266,18 +271,81 @@ def test_row_blocks_that_split_pairs_leave_coverage_statistics_unchanged(
     default = statistics()
     # 1,000 rows split every 64^2 = 4,096-row pair grid unevenly
     monkeypatch.setattr(estimators, "ROW_BLOCK", 1000)
-    rows = []
-    density = model.log_density_graph
+    dense = estimators.dense
 
-    def recording(theta, x_emb):
-        rows.append(theta.data.shape[0])
-        return density(theta, x_emb)
+    def recording(x, w, b, selu=False):
+        calls[-1].append(x.data.shape[0])
+        return dense(x, w, b, selu)
 
-    monkeypatch.setattr(model, "log_density_graph", recording)
+    # every layer of every network, the flow grid pass's distinct values included
+    monkeypatch.setattr(estimators, "dense", recording)
+    calls.clear()
     blocked = statistics()
-    assert max(rows) <= 1000
+    assert [0 < max(rows) <= 1000 for rows in calls] == [True, True]
     np.testing.assert_array_equal(blocked[0], default[0])
     np.testing.assert_array_equal(blocked[1], default[1])
+
+
+@pytest.mark.parametrize("which", ["npe", "nre", "oracle", "nonlinear-2d-oracle"])
+def test_rank_statistics_are_bit_identical_with_and_without_the_pool(
+        nonlinear_models, monkeypatch, which):
+    problem = get_problem("gaussian-linear" if which == "oracle" else "nonlinear-2d")
+    posterior = (oracle_posterior(problem) if which.endswith("oracle")
+                 else nonlinear_models[which])
+    ds = simulate_dataset(problem, 30, seed=44)
+    proposal = covreg.PriorProposal(problem.prior)
+
+    def alphas():
+        return rank_statistic_sample(posterior, ds.thetas, ds.xs, 128, proposal,
+                                     np.random.default_rng(8), chunk=4)
+
+    pooled = alphas()
+    # a dict that is not the pool: every op allocates
+    monkeypatch.setattr(ad, "workspace", lambda: contextlib.nullcontext({}))
+    np.testing.assert_array_equal(alphas(), pooled)
+
+
+def test_the_rank_pool_stops_growing_after_the_second_chunk(nonlinear_models,
+                                                            monkeypatch):
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 24, seed=45)
+    pools, sizes = [], []
+    workspace, rank_statistics = ad.workspace, covreg.rank_statistics
+
+    @contextlib.contextmanager
+    def recorded_workspace():
+        with workspace() as pool:
+            pools.append(pool)
+            yield pool
+
+    def recorded_rank_statistics(*args, **kwargs):
+        batch = rank_statistics(*args, **kwargs)
+        sizes.append(sum(len(arrays) for arrays in pools[-1].values()))
+        return batch
+
+    monkeypatch.setattr(ad, "workspace", recorded_workspace)
+    monkeypatch.setattr(covreg, "rank_statistics", recorded_rank_statistics)
+    rank_statistic_sample(nonlinear_models["npe"], ds.thetas, ds.xs, 256,
+                          covreg.PriorProposal(problem.prior),
+                          np.random.default_rng(9), chunk=4)
+    assert len(pools) == 1 and len(sizes) == 6 and sizes[0] > 0
+    assert sizes[2:] == [sizes[1]] * 4
+
+
+def test_rank_audit_of_a_flow_at_l_1024_has_a_bounded_peak(nonlinear_models):
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 132, seed=46)       # 18 chunks of 7, one of 6
+    proposal = covreg.PriorProposal(problem.prior)
+    tracemalloc.start()
+    try:
+        rank_statistic_sample(nonlinear_models["npe"], ds.thetas, ds.xs, 1024,
+                              proposal, np.random.default_rng(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pool of one 7-pair chunk and its draws hold about 4.7 MB; one pass
+    # over all 135,300 density rows would hold 17 MB per hidden layer
+    assert peak < 8 * 2 ** 20
 
 
 def test_grid_hpdr_on_a_flow_pair_at_512_has_a_bounded_peak(nonlinear_models):

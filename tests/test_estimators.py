@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from calsbi import autodiff as ad
+from calsbi import estimators
 from calsbi.autodiff import Value, concat
 from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, NreModel, Prior,
                                PriorPosterior, build_model)
@@ -283,6 +284,25 @@ def test_graph_surface_equals_numpy_surface():
             off = ~box.prior.in_support(theta)
             assert off.any() and np.isneginf(numpy_ld[off]).all()
             assert np.isfinite(numpy_ld[~off]).all()
+
+
+@pytest.mark.parametrize("dim,blocks", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_flow_grid_rows_equal_paired_rows_bit_for_bit(monkeypatch, dim, blocks):
+    r = np.random.default_rng(50 + dim * 10 + blocks)
+    flow = NpeFlow(dim_theta=dim, dim_x=3, rng=r, last_scale=0.5, blocks=blocks)
+    side = np.linspace(-3.0, 3.0, {1: 2500, 2: 64, 3: 16}[dim])
+    grid = np.stack([c.ravel() for c in np.meshgrid(*[side] * dim, indexing="ij")],
+                    axis=1)
+    xs = r.standard_normal((3, 3))
+    # 1,000-row blocks split the 2,500- to 4,096-row grid unevenly
+    monkeypatch.setattr(estimators, "ROW_BLOCK", 1000)
+    counter = RowCounter(flow)
+    buf = np.full((4, len(grid)), np.nan)
+    rows = flow.log_density_grid(grid, xs, out=buf[:3])
+    assert rows.base is buf and counter.embed_rows == 3
+    for x, row in zip(xs, rows):
+        np.testing.assert_array_equal(
+            row, flow.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
 
 
 def test_flow_density_integrates_to_one_on_grid(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calsbi.estimators import GaussianLinearPosterior, NpeFlow, NreModel
-from calsbi.problems import (LikelihoodPosterior, analytic_posterior,
+from calsbi.problems import (Dataset, LikelihoodPosterior, analytic_posterior,
                              get_problem, grid_layout, load_dataset,
                              mixture_demo_densities, oracle_posterior,
                              problem_for, problem_for_dataset,
@@ -111,6 +111,17 @@ def test_dataset_file_cut_at_every_offset_is_rejected(tmp_path):
     cut.write_bytes(raw + b"\0")
     with pytest.raises(ValueError, match="trailing"):
         load_dataset(cut)
+
+
+@pytest.mark.parametrize("count,dim_theta,dim_x", [(0, 2, 2), (5, 0, 0),
+                                                   (5, 0, 2), (5, 2, 0)])
+def test_dataset_file_without_rows_or_dimensions_is_rejected(tmp_path, count,
+                                                             dim_theta, dim_x):
+    path = tmp_path / "d.sbid"
+    Dataset("gaussian-linear", 0, dim_theta, dim_x, np.zeros((count, dim_theta)),
+            np.zeros((count, dim_x))).save(path)
+    with pytest.raises(ValueError, match="empty dataset"):
+        load_dataset(path)
 
 
 def test_dataset_file_with_a_non_finite_value_is_rejected(tmp_path):
