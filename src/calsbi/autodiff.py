@@ -406,9 +406,9 @@ def concat(values, axis=1):
     shape = list(base)
     shape[axis] = sum(d.shape[axis] for d in datas)
     out = np.concatenate(datas, axis=axis, out=_buffer(tuple(shape)))
-    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
 
     def backward(g):
+        splits = np.cumsum([v.data.shape[axis] for v in values])[:-1]
         for v, piece in zip(values, np.split(g, splits, axis=axis)):
             if v.requires_grad:
                 v._accum(piece)

@@ -125,64 +125,100 @@ def _softplus(v):
     return v.relu() + ((-v.abs()).exp() + 1.0).log()
 
 
-def nre_base_loss(model, thetas, xs, rng):
+# the signs that turn a row's (negative, nominal) logits into the
+# cross-entropy terms softplus(logit_neg) and softplus(-logit_pos)
+_NRE_SIGNS = np.array([[1.0, -1.0]])
+
+
+def nre_base_loss(model, thetas, xs, rng, draws=None):
     """Binary cross-entropy: joint pairs against in-batch shuffled negatives.
 
-    Returns (loss, nominal), where nominal() builds the (embedding,
-    nominal log density) pair the regularizer reuses; a plain step never
-    calls it, so it never builds the prior's log density.
+    The head runs once, on each pair's rows [negative, nominal, draws...]
+    with the pair's embedding repeated over them. Returns (loss, block):
+    with (n, L, d) `draws`, block is the (n, 1 + L) log posterior (log prior
+    plus logit) at the nominal parameter and the draws, the rank block the
+    regularizer takes; without them it is None, and the prior's log density
+    is never built.
     """
-    n = thetas.shape[0]
+    n, d = thetas.shape
     if n < 2:
         raise ValueError("ratio loss needs a batch of >= 2 for negative pairs")
-    theta = Value(thetas)
+    cols = [thetas[derangement(n, rng)][:, None], thetas[:, None]]
+    if draws is not None:
+        cols.append(draws)
+    rows = np.concatenate(cols, axis=1).reshape(-1, d)
+    k = rows.shape[0] // n
     emb = model.embed_graph(Value(xs))
-    logit_pos = model.logit_graph(theta, emb)
-    logit_neg = model.logit_graph(Value(thetas[derangement(n, rng)]), emb)
-    loss = (_softplus(-logit_pos).mean() + _softplus(logit_neg).mean()) * 0.5
-    return loss, lambda: (emb, model.prior.log_density_graph(theta) + logit_pos)
+    logits = model.logit_graph(Value(rows), ad.repeat_rows(emb, k)).reshape(n, k)
+    signed = logits if draws is None else logits[:, :2]
+    loss = _softplus(signed * Value(_NRE_SIGNS)).mean()
+    if draws is None:
+        return loss, None
+    log_prior = model.prior.log_density_graph(Value(rows)).data.reshape(n, k)
+    return loss, Value(log_prior[:, 1:]) + logits[:, 1:]
 
 
-def npe_base_loss(flow, thetas, xs):
+def npe_base_loss(flow, thetas, xs, draws=None):
     """Negative mean log density of the nominal parameters.
 
-    Returns (loss, nominal), as `nre_base_loss`.
+    Returns (loss, block), as `nre_base_loss`: with `draws`, the flow runs
+    once on each pair's nominal parameter followed by its draws
+    (`covreg.stacked_log_density`), and block is those (n, 1 + L) log
+    densities.
     """
     emb = flow.embed_graph(Value(xs))
-    ld = flow.log_density_graph(Value(thetas), emb)
-    bad = np.where(~np.isfinite(ld.data[:, 0]))[0]
+    if draws is None:
+        lp = nominal = flow.log_density_graph(Value(thetas), emb)
+    else:
+        lp = covreg.stacked_log_density(flow, emb, thetas, draws)
+        nominal = lp[:, :1]
+    bad = np.where(~np.isfinite(nominal.data[:, 0]))[0]
     if bad.size:
         raise FloatingPointError(f"non-finite log density at sample index {bad[0]}")
-    return -ld.mean(), lambda: (emb, ld)
+    return -nominal.mean(), (None if draws is None else lp)
 
 
-def base_loss(model, thetas, xs, rng):
-    """(loss, nominal) of the method's base loss; nominal() gives the
-    (embedding, nominal log density) pair of its forward pass."""
+def base_loss(model, thetas, xs, rng, draws=None):
+    """(loss, block) of the method's base loss; block is the (n, 1 + L)
+    log densities at the nominal parameters and `draws` when those are
+    given, from the same network call, and None otherwise."""
     if model.method == "nre":
-        return nre_base_loss(model, thetas, xs, rng)
-    return npe_base_loss(model, thetas, xs)
+        return nre_base_loss(model, thetas, xs, rng, draws)
+    return npe_base_loss(model, thetas, xs, draws)
+
+
+def _optimizer(config, model):
+    """The AdamW of `config` over the model's parameters; training and the
+    overhead probe both build theirs here."""
+    return AdamW(model.parameters(), lr=config.learning_rate,
+                 weight_decay=config.weight_decay)
 
 
 def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
                epoch=0, batch=0):
     """One optimizer step on one batch; the body of every training loop.
 
-    The base loss runs first and hands its embedding and nominal log density
-    to the regularizer (`reg`, None for none), so the batch is embedded
-    once. Then backward, global-norm clipping and AdamW. `rngs` is (negative
-    pairing, prior draws). A non-finite loss, density or gradient raises
-    TrainAbort at (epoch, batch). Returns (base, regularizer, total,
+    With a regularizer (`reg`, None for none) the prior draws come first.
+    The base loss then runs the network once, on every pair's nominal row
+    and draws (and for nre its negative), so the batch is embedded once,
+    and hands the draws and their log densities to the regularizer. Then
+    backward, global-norm clipping of the flat gradient and AdamW. `rngs` is
+    (negative pairing, prior draws). A non-finite loss, density or gradient
+    raises TrainAbort at (epoch, batch). Returns (base, regularizer, total,
     pre-clip gradient norm, degenerate rows).
     """
     rng_neg, rng_reg = rngs
     try:
-        base, nominal = base_loss(model, thetas, xs, rng_neg)
+        draws = None
+        if reg is not None:
+            draws = covreg.PriorProposal(prior).sample_batch(xs, rng_reg,
+                                                             reg.num_samples)
+        base, lp = base_loss(model, thetas, xs, rng_neg, draws)
         total = base
         rval, degenerate = 0.0, 0
         if reg is not None:
             rloss, rbatch = covreg.regularizer(model, thetas, xs, reg, rng_reg,
-                                               prior=prior, nominal=nominal())
+                                               prior, block=(draws, lp))
             total = base + rloss * reg.weight
             rval, degenerate = float(rloss.data[0]), rbatch.degenerate_count
         tval = float(total.data[0])
@@ -190,8 +226,8 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
             raise TrainAbort(epoch, batch, f"non-finite loss {tval}")
         opt.zero_grad()
         total.backward()
-        grads, pre_norm = clip_grad_norm(opt.gradients(), clip_norm)
-        opt.step(grads)
+        grad, pre_norm = clip_grad_norm(opt.gradients(), clip_norm)
+        opt.step(grad)
     except FloatingPointError as exc:
         raise TrainAbort(epoch, batch, str(exc)) from exc
     return float(base.data[0]), rval, tval, pre_norm, degenerate
@@ -221,8 +257,7 @@ def train(config, dataset, problem=None, out_dir=None):
                                                for c in ss.spawn(4)]
     model = build_model(config.method, problem.prior, dataset.dim_x,
                         config.arch(), rng=rng_init)
-    opt = AdamW(model.parameters(), lr=config.learning_rate,
-                weight_decay=config.weight_decay)
+    opt = _optimizer(config, model)
     th_train, x_train, th_val, x_val = _split(dataset, config.validation_fraction)
     n_train = th_train.shape[0]
 
@@ -399,7 +434,7 @@ def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
             rng_init, rng_reg, rng_neg = [np.random.default_rng(c) for c in ss.spawn(3)]
             model = build_model(config.method, problem.prior, dataset.dim_x,
                                 config.arch(), rng=rng_init)
-            opt = AdamW(model.parameters(), lr=config.learning_rate)
+            opt = _optimizer(config, model)
             reg = replace(config.reg or covreg.RegConfig(), num_samples=count)
             step = (model, opt, dataset.thetas[:config.batch_size],
                     dataset.xs[:config.batch_size], reg, config.clip_norm,

@@ -34,29 +34,27 @@ def rng():
 
 
 class RowCounter:
-    """Counts a model's embedding calls and rows and its density rows.
+    """Counts a model's embedding, density and head calls and their rows.
 
     Wraps the instance's `embed_graph` and `log_density_graph`, through
-    which both the graph and the numpy surface run.
+    which both the graph and the numpy surface run, and the ratio model's
+    `logit_graph`, its head, which its training loss calls directly.
     """
 
     def __init__(self, model):
         self.reset()
-        embed, density = model.embed_graph, model.log_density_graph
+        for kind, attr in (("embed", "embed_graph"), ("density", "log_density_graph"),
+                           ("head", "logit_graph")):
+            if hasattr(model, attr):
+                setattr(model, attr, self._counted(kind, getattr(model, attr)))
 
-        def counted_embed(x):
-            self.embed_calls += 1
-            self.embed_rows += x.data.shape[0]
-            return embed(x)
-
-        def counted_density(theta, x_emb, *rest):
-            self.density_rows += theta.data.shape[0]
-            return density(theta, x_emb, *rest)
-
-        model.embed_graph = counted_embed
-        model.log_density_graph = counted_density
+    def _counted(self, kind, fn):
+        def counted(value, *rest):
+            vars(self)[f"{kind}_calls"] += 1
+            vars(self)[f"{kind}_rows"] += value.data.shape[0]
+            return fn(value, *rest)
+        return counted
 
     def reset(self):
-        self.embed_calls = 0
-        self.embed_rows = 0
-        self.density_rows = 0
+        for kind in ("embed", "density", "head"):
+            vars(self).update({f"{kind}_calls": 0, f"{kind}_rows": 0})

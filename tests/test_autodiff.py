@@ -425,26 +425,104 @@ def test_adamw_step_counter_increases_by_one():
 
 
 def test_clip_scales_down_to_max_norm():
-    grads = [np.array([10.0])]
-    clipped, norm = clip_grad_norm(grads, 5.0)
+    clipped, norm = clip_grad_norm(np.array([10.0]), 5.0)
     assert norm == pytest.approx(10.0)
-    assert float(np.sqrt(sum(np.sum(g * g) for g in clipped))) == pytest.approx(5.0)
+    assert float(np.sqrt(clipped @ clipped)) == pytest.approx(5.0)
 
 
 def test_clip_leaves_small_gradients_unchanged():
-    grads = [np.array([0.6, 0.8])]
-    clipped, norm = clip_grad_norm(grads, 5.0)
+    grad = np.array([0.6, 0.8])
+    clipped, norm = clip_grad_norm(grad, 5.0)
     assert norm == pytest.approx(1.0)
-    np.testing.assert_array_equal(clipped[0], grads[0])
+    np.testing.assert_array_equal(clipped, grad)
 
 
 def test_clip_three_four_five_triangle():
-    clipped, norm = clip_grad_norm([np.array([3.0]), np.array([4.0])], 1.0)
+    clipped, norm = clip_grad_norm(np.array([3.0, 4.0]), 1.0)
     assert norm == pytest.approx(5.0)
-    assert clipped[0][0] == pytest.approx(0.6)
-    assert clipped[1][0] == pytest.approx(0.8)
+    np.testing.assert_allclose(clipped, [0.6, 0.8], rtol=1e-15)
 
 
 def test_clip_noop_on_empty():
-    clipped, norm = clip_grad_norm([], 1.0)
-    assert clipped == [] and norm == 0.0
+    clipped, norm = clip_grad_norm(np.zeros(0), 1.0)
+    assert clipped.size == 0 and norm == 0.0
+
+
+# -- one flat parameter vector -----------------------------------------------------
+
+
+def _named_params(rng):
+    return {"a.w0": Value(rng.standard_normal((3, 2)), requires_grad=True),
+            "a.b0": Value(np.zeros((1, 2)), requires_grad=True),
+            "b.w0": Value(rng.standard_normal((2, 1)), requires_grad=True)}
+
+
+def test_adamw_parameters_are_views_of_its_vector(rng):
+    params = _named_params(rng)
+    before = {k: p.data.copy() for k, p in params.items()}
+    opt = AdamW(params)
+    assert opt.data.shape == opt.m.shape == opt.v.shape == (6 + 2 + 2,)
+    for k, p in params.items():
+        assert p.data.base is opt.data
+        np.testing.assert_array_equal(p.data, before[k])
+    # a checkpoint load writes through `data[...]` and lands in the vector
+    params["b.w0"].data[...] = [[7.0], [8.0]]
+    np.testing.assert_array_equal(opt.data[-2:], [7.0, 8.0])
+    p = params["a.b0"]
+    p.grad = np.ones((1, 2))
+    opt.step()
+    assert p.data.base is opt.data and np.all(p.data < 0.0)
+
+
+def test_adamw_gradients_are_one_vector_with_zeros_where_unset(rng):
+    params = _named_params(rng)
+    opt = AdamW(params)
+    params["a.w0"].grad = np.arange(6.0).reshape(3, 2)
+    params["b.w0"].grad = np.array([[-1.0], [-2.0]])
+    np.testing.assert_array_equal(opt.gradients(),
+                                  [0, 1, 2, 3, 4, 5, 0, 0, -1, -2])
+    opt.zero_grad()
+    np.testing.assert_array_equal(opt.gradients(), np.zeros(10))
+    params["a.b0"].grad = np.ones(2)
+    with pytest.raises(ValueError, match="a.b0"):
+        opt.gradients()
+
+
+def test_adamw_rejects_non_finite_gradient_naming_the_parameter_at_its_offset(rng):
+    params = _named_params(rng)
+    opt = AdamW(params)
+    before = opt.data.copy()
+    for index, name in ((0, "a.w0"), (5, "a.w0"), (6, "a.b0"), (7, "a.b0"),
+                        (9, "b.w0")):
+        grad = np.zeros(10)
+        grad[index] = np.inf
+        with pytest.raises(FloatingPointError, match=f"parameter '{name}'"):
+            opt.step(grad)
+    np.testing.assert_array_equal(opt.data, before)
+    assert opt.step_count == 0
+
+
+def test_flat_adamw_equals_a_per_array_reference_bit_for_bit(rng):
+    lr, (b1, b2), eps, wd = 3e-3, (0.8, 0.99), 1e-8, 0.05
+    params = _named_params(rng)
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    opt = AdamW(params, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(a.shape) for k, a in ref.items()}
+        grads["a.b0"] = None if t == 2 else grads["a.b0"]
+        for k, p in params.items():
+            p.grad = grads[k]
+        opt.step()
+        # the update as it runs one array at a time
+        for k, data in ref.items():
+            g = grads[k] if grads[k] is not None else np.zeros_like(data)
+            data -= lr * wd * data
+            m[k] *= b1
+            m[k] += (1.0 - b1) * g
+            v[k] *= b2
+            v[k] += (1.0 - b2) * g * g
+            data -= lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.data, ref[k])

@@ -88,6 +88,23 @@ def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
     assert changed == []
 
 
+def test_traced_regularized_npe_step_records_one_density_span():
+    # the step runs the flow once, on the nominal rows and the draws together
+    ds = simulate_dataset("gaussian-linear", 16, seed=0)
+    config = trainer.TrainConfig(method="npe", epochs=1, batch_size=16,
+                                 validation_fraction=0.0, hidden=4, embed_dim=2,
+                                 reg=covreg.RegConfig(num_samples=4))
+    rec = spans.Recorder()
+    with _installed(rec):
+        trainer.train(config, ds)
+    density = [a["rows"] for name, a in zip(rec.names, rec.attrs)
+               if name == "estimators.density"]
+    assert density == [16 * (1 + 4)]
+    counts = spans.summarize(rec, "trainer.train")["counts"]
+    assert (counts["embed_calls_in_steps"], counts["rank_calls"]) == (1, 1)
+    assert counts["train_pairs"] == 16
+
+
 def test_traced_oracle_grid_audit_counts_pairs_times_cells_density_rows():
     # the eval-oracle-grid trace reads estimators.log_density_grid_s from
     # these spans, whose row count reads the positional (grid, xs)

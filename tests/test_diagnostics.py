@@ -305,6 +305,57 @@ def test_rank_statistics_are_bit_identical_with_and_without_the_pool(
     np.testing.assert_array_equal(alphas(), pooled)
 
 
+def _two_call_rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
+                              chunk):
+    """Reference: rank statistics from one model call on each chunk's nominal
+    rows and a second on its draw rows."""
+    model = covreg._graph_surface(posterior)
+    out = []
+    with ad.no_grad():
+        for lo in range(0, len(thetas), chunk):
+            t, x = thetas[lo:lo + chunk], xs[lo:lo + chunk]
+            emb = model.embed_graph(ad.Value(x))
+            lp_star = model.log_density_graph(ad.Value(t), emb)
+            draws = proposal.sample_batch(x, rng, num_samples).reshape(-1, t.shape[1])
+            log_prop = proposal.log_density_rows(draws, x).reshape(len(t), -1)
+            lp_draws = model.log_density_graph(
+                ad.Value(draws), ad.repeat_rows(emb, num_samples)).reshape(len(t), -1)
+            out.append(covreg.rank_statistic_core(lp_star, lp_draws, log_prop)[0].data[:, 0])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("which", ["npe", "nre", "oracle", "nonlinear-2d-oracle"])
+def test_one_call_rank_statistics_equal_nominal_and_draw_calls_bit_for_bit(
+        nonlinear_models, which):
+    problem = get_problem("gaussian-linear" if which == "oracle" else "nonlinear-2d")
+    posterior = (oracle_posterior(problem) if which.endswith("oracle")
+                 else nonlinear_models[which])
+    ds = simulate_dataset(problem, 30, seed=46)
+    proposal = covreg.PriorProposal(problem.prior)
+    # chunks of 4 end in one of 2 pairs, chunks of 29 in one of 1 pair
+    for chunk in (4, 29):
+        np.testing.assert_array_equal(
+            rank_statistic_sample(posterior, ds.thetas, ds.xs, 128, proposal,
+                                  np.random.default_rng(10), chunk=chunk),
+            _two_call_rank_statistics(posterior, ds.thetas, ds.xs, 128, proposal,
+                                      np.random.default_rng(10), chunk))
+
+
+@pytest.mark.parametrize("method", ["npe", "nre"])
+def test_rank_audit_runs_the_model_once_per_chunk(method):
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 10, seed=47)
+    model = estimators.build_model(method, problem.prior, problem.dim_x, {},
+                                   rng=np.random.default_rng(3))
+    counter = RowCounter(model)
+    rank_statistic_sample(model, ds.thetas, ds.xs, 64,
+                          covreg.PriorProposal(problem.prior),
+                          np.random.default_rng(11), chunk=4)
+    # each chunk's nominal and draw rows, 1 + L a pair, in one call
+    assert (counter.embed_calls, counter.embed_rows) == (3, 10)
+    assert (counter.density_calls, counter.density_rows) == (3, 10 * 65)
+
+
 def test_the_rank_pool_stops_growing_after_the_second_chunk(nonlinear_models,
                                                             monkeypatch):
     problem = get_problem("nonlinear-2d")

@@ -128,9 +128,9 @@ def test_logged_post_clip_norm_is_bounded(gl_dataset):
     # rerun one step manually: the optimizer consumes clipped gradients
     from calsbi.optim import clip_grad_norm
 
-    grads = [np.full(3, 10.0), np.full(2, -3.0)]
-    clipped, pre = clip_grad_norm(grads, 5.0)
-    post = math.sqrt(sum(float(np.sum(g * g)) for g in clipped))
+    grad = np.r_[np.full(3, 10.0), np.full(2, -3.0)]
+    clipped, pre = clip_grad_norm(grad, 5.0)
+    post = math.sqrt(float(clipped @ clipped))
     assert post <= 5.0 + 1e-9
     assert pre > 5.0
 
@@ -149,7 +149,7 @@ def test_budget_smaller_than_batch_rejected():
 
 def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
     def fake_regularizer(posterior, thetas, xs, config, rng, prior=None,
-                         nominal=None):
+                         block=None):
         n = thetas.shape[0]
         batch = covreg.RankStatisticBatch(
             values=Value(np.zeros((n, 1))), degenerate=np.ones(n, dtype=bool))
@@ -163,7 +163,7 @@ def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
 
 def test_non_finite_loss_aborts_with_coordinates(gl_dataset, monkeypatch):
     monkeypatch.setattr("calsbi.trainer.base_loss",
-                        lambda model, t, x, rng: (Value(np.array([np.nan])), None))
+                        lambda model, t, x, rng, draws: (Value(np.array([np.nan])), None))
     with pytest.raises(TrainAbort, match="epoch 0, batch 0"):
         train(small_config(), gl_dataset)
 
@@ -171,11 +171,11 @@ def test_non_finite_loss_aborts_with_coordinates(gl_dataset, monkeypatch):
 def test_non_finite_gradient_aborts_with_coordinates(gl_dataset, monkeypatch):
     real_base_loss = trainer.base_loss
 
-    def poisoned(model, thetas, xs, rng):
+    def poisoned(model, thetas, xs, rng, draws):
         # finite loss value whose backward sends NaN into every parameter
-        loss, nominal = real_base_loss(model, thetas, xs, rng)
+        loss, block = real_base_loss(model, thetas, xs, rng, draws)
         return Value._node(loss.data, (loss,), "poison",
-                           lambda g: loss._accum(g * np.nan)), nominal
+                           lambda g: loss._accum(g * np.nan)), block
 
     monkeypatch.setattr("calsbi.trainer.base_loss", poisoned)
     with pytest.raises(TrainAbort, match="epoch 0, batch 0: non-finite gradient") as info:
@@ -202,10 +202,25 @@ def test_regularized_npe_step_embeds_the_batch_once():
     trainer.train_step(flow, opt, ds.thetas, ds.xs, reg, 5.0,
                        (np.random.default_rng(0), np.random.default_rng(1)),
                        problem.prior)
-    assert counter.embed_calls == 1
-    assert counter.embed_rows == ds.count
-    # nominal rows once, plus the n * L proposal draws
+    assert (counter.embed_calls, counter.embed_rows) == (1, ds.count)
+    # one call on the nominal rows and the n * L proposal draws together
+    assert counter.density_calls == 1
     assert counter.density_rows == ds.count * (1 + reg.num_samples)
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+def test_nre_step_runs_the_head_once(regularized):
+    problem, ds, model, reg = _step_setup("nre")
+    reg = reg if regularized else None
+    counter = RowCounter(model)
+    trainer.train_step(model, AdamW(model.parameters()), ds.thetas, ds.xs, reg,
+                       5.0, (np.random.default_rng(0), np.random.default_rng(1)),
+                       problem.prior)
+    assert (counter.embed_calls, counter.embed_rows) == (1, ds.count)
+    # each pair's negative and nominal rows, then its draws
+    per_pair = 2 + (reg.num_samples if regularized else 0)
+    assert (counter.head_calls, counter.head_rows) == (1, ds.count * per_pair)
+    assert counter.density_calls == 0
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
@@ -240,7 +255,9 @@ def test_plain_nre_step_never_builds_the_prior_log_density(monkeypatch):
     trainer.train_step(model, opt, ds.thetas, ds.xs, None, 5.0, rngs, problem.prior)
     assert calls == []
     trainer.train_step(model, opt, ds.thetas, ds.xs, reg, 5.0, rngs, problem.prior)
-    assert ds.count in calls      # the regularized step does read it
+    # the regularized step reads it on the base loss's rows (negative,
+    # nominal and draws) and on the draws, for the proposal density
+    assert calls == [ds.count * (2 + reg.num_samples), ds.count * reg.num_samples]
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
@@ -264,23 +281,27 @@ def test_shared_forward_step_gradients_match_separate_calls(method):
 
 
 def test_train_and_overhead_probe_run_the_same_step(gl_dataset, monkeypatch):
-    calls = []
+    calls, optimizers = [], set()
     real_step = trainer.train_step
 
     def counting(*args, **kwargs):
         calls.append(args[4])
+        optimizers.add((args[1].lr, args[1].weight_decay))
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr("calsbi.trainer.train_step", counting)
     reg = covreg.RegConfig(num_samples=2)
-    train(small_config(epochs=1, reg=reg), gl_dataset)
+    config = small_config(epochs=1, reg=reg, learning_rate=2e-3, weight_decay=0.03)
+    train(config, gl_dataset)
     n_train = gl_dataset.count - round(0.1 * gl_dataset.count)
     assert len(calls) == -(-n_train // 64)
     assert all(r is reg for r in calls)
     calls.clear()
-    measure_step_overhead(small_config(batch_size=32, reg=reg), gl_dataset,
+    measure_step_overhead(dataclasses.replace(config, batch_size=32), gl_dataset,
                           sample_counts=(1, 4), steps=2, repeats=1)
     assert [r.num_samples for r in calls] == [1] * 5 + [4] * 5
+    # both build the optimizer the config describes, weight decay included
+    assert optimizers == {(2e-3, 0.03)}
     # the probe times the configured regularizer, only its sample count varies
     direct = covreg.RegConfig(mode="calibration", loss_form="direct", weight=2.0,
                               levels=(0.25, 0.75), temperature=0.5)
