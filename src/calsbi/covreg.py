@@ -112,10 +112,7 @@ class DensityProposal:
 
     def log_density_rows(self, thetas, xs):
         """Constant log densities of the n * L draw rows, L consecutive per x."""
-        count, rest = divmod(len(thetas), len(xs))
-        if rest:
-            raise ValueError(f"{len(thetas)} draw rows do not split evenly over "
-                             f"{len(xs)} observations")
+        count = _draws_per_observation(thetas, xs)
         model = _graph_surface(self.density)
         with no_grad():
             emb = repeat_rows(model.embed_graph(Value(xs)), count)
@@ -127,6 +124,20 @@ class PriorProposal(DensityProposal):
 
     def __init__(self, prior):
         super().__init__(PriorPosterior(prior))
+
+    def log_density_rows(self, thetas, xs):
+        """The prior's log densities of the n * L draw rows; x is not read."""
+        _draws_per_observation(thetas, xs)
+        return self.density.prior.log_density(thetas)
+
+
+def _draws_per_observation(thetas, xs):
+    """L, for n * L draw rows over n observations; ValueError if they do not split."""
+    count, rest = divmod(len(thetas), len(xs))
+    if rest:
+        raise ValueError(f"{len(thetas)} draw rows do not split evenly over "
+                         f"{len(xs)} observations")
+    return count
 
 
 def _graph_surface(posterior):

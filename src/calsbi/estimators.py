@@ -14,13 +14,19 @@ The two trained models share one surface (`NetworkPosterior`):
   observation embedding is computed once and shared across many parameter
   evaluations, as ``log_density_grid(grid, xs)`` does over a whole grid.
 
-The numpy surface is the graph surface run under ``no_grad``, and the
-prior's numpy density is its graph density the same way, so the surfaces
-agree bit for bit, off the prior's support (-inf) included, and embedded
-and direct evaluation are bit-identical. The flow has a grid pass of its
-own: its first inverse block sees one grid coordinate, so its network runs
-once per distinct coordinate value and the result is gathered onto the
-grid rows, which still equal paired rows bit for bit.
+The numpy surface is the graph surface run under ``no_grad``, so the
+surfaces agree bit for bit and embedded and direct evaluation are
+bit-identical. The prior's numpy density and its draws work one column at
+a time, with the operations of its graph density and of the broadcast
+formulas in the same order, so they too agree bit for bit, off the
+prior's support (-inf) included.
+
+Grid passes follow the grid's structure. The flow's first inverse block
+sees one grid coordinate, so its network runs once per distinct coordinate
+value and the result is gathered onto the grid rows. The Gaussian oracle's
+quadratic splits into one term per dimension, so on a product grid
+(`product_axes`) each term is computed once per coordinate value and the
+terms are broadcast-added. Grid rows still equal paired rows bit for bit.
 """
 
 import math
@@ -40,26 +46,52 @@ ROW_BLOCK = 8192
 
 
 def sum_sq_scaled(u, v, scale, out=None):
-    """sum_d ((u_d - v_d) / scale)^2 over the last axis, into `out` if given.
+    """sum_d ((u_d - v_d) / scale_d)^2 over the last axis, into `out` if given.
 
-    u[..., d] and v[..., d] broadcast to `out`'s shape, one dimension at a
-    time. Paired rows and an (observations, grid) surface therefore get the
-    same floating-point operations, and neither an (n, G, dim) temporary nor
-    the cancellation of |u|^2 - 2 u.v + |v|^2 arises. From the second
-    dimension on, one `out`-sized scratch holds each term.
+    `scale` is one number or one per dimension. u[..., d] and v[..., d]
+    broadcast to `out`'s shape, one dimension at a time. Paired rows and an
+    (observations, grid) surface therefore get the same floating-point
+    operations, and neither an (n, G, dim) temporary nor the cancellation of
+    |u|^2 - 2 u.v + |v|^2 arises. From the second dimension on, one
+    `out`-sized scratch holds each term.
     """
     if out is None:
         out = np.empty(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]))
+    per_dim = np.ndim(scale) > 0
     term = out
     for d in range(u.shape[-1]):
         if d == 1:
             term = np.empty_like(out)
         np.subtract(u[..., d], v[..., d], out=term)
-        term /= scale
+        term /= scale[d] if per_dim else scale
         term *= term
         if d:
             out += term
     return out
+
+
+def product_axes(grid):
+    """Per-dimension coordinates whose ij product lists `grid`'s rows, or None.
+
+    A (r ** dim, dim) grid is a product when column d, seen as an
+    (r, ..., r) array, repeats one axis of r values along its own index d
+    (`problems.grid_layout` builds its points this way). The column views
+    are compared against the axes in place, so no meshgrid is built.
+    """
+    g, dim = grid.shape
+    r = round(g ** (1.0 / dim)) if g else 0
+    if r ** dim != g or r == 0:
+        return None
+    axes = []
+    for d in range(dim):
+        column = grid[:, d].reshape((r,) * dim)
+        axis = column[(0,) * d + (slice(None),) + (0,) * (dim - d - 1)]
+        shape = [1] * dim
+        shape[d] = r
+        if not (column == axis.reshape(shape)).all():
+            return None
+        axes.append(axis.copy())
+    return axes
 
 
 def _rows(arr, dim, name):
@@ -112,20 +144,50 @@ class Prior:
                    scale=np.atleast_1d(np.asarray(scale, dtype=np.float64)))
 
     def sample(self, rng, count):
+        """(count, dim) draws, scaled and shifted one column at a time.
+
+        The values equal `low + (high - low) * u` and `mean + scale * z` on
+        the same stream as `rng.uniform(low, high, size)` and
+        `rng.standard_normal(size)`, bit for bit.
+        """
         if self.kind == "uniform-box":
-            return rng.uniform(self.low, self.high, size=(count, self.dim))
-        return self.mean + self.scale * rng.standard_normal((count, self.dim))
+            out = rng.random((count, self.dim))
+            shift, scale = self.low, self.high - self.low
+        else:
+            out = rng.standard_normal((count, self.dim))
+            shift, scale = self.mean, self.scale
+        for d in range(self.dim):
+            col = out[:, d]
+            col *= scale[d]
+            col += shift[d]
+        return out
 
     def in_support(self, theta):
         theta = _rows(theta, self.dim, "theta")
+        inside = np.ones(theta.shape[0], dtype=bool)
         if self.kind == "uniform-box":
-            return np.all((theta >= self.low) & (theta <= self.high), axis=1)
-        return np.ones(theta.shape[0], dtype=bool)
+            for d in range(self.dim):
+                inside &= theta[:, d] >= self.low[d]
+                inside &= theta[:, d] <= self.high[d]
+        return inside
 
     def log_density(self, theta):
+        """Log prior densities of rows, equal to `log_density_graph` bit for bit.
+
+        The Gaussian quadratic is summed one column at a time. From 8
+        columns on, numpy's row sum adds pairwise, not in order, so there
+        the rows are summed as the graph sums them.
+        """
         theta = _rows(theta, self.dim, "theta")
-        with ad.no_grad():
-            return self.log_density_graph(Value(theta)).data[:, 0]
+        if self.kind == "uniform-box":
+            return np.where(self.in_support(theta), self._log_const, -np.inf)
+        if self.dim < 8:
+            sq = sum_sq_scaled(theta, self.mean, self.scale)
+        else:
+            sq = np.square((theta - self.mean) / self.scale).sum(axis=1)
+        sq *= -0.5
+        sq += self._log_const
+        return sq
 
     def log_density_graph(self, theta):
         """Column Value (n, 1) of log prior densities, -inf off the uniform box."""
@@ -427,6 +489,7 @@ class GaussianLinearPosterior:
         self.dim_theta = dim
         self.coef = 1.0 / (1.0 + noise_sigma ** 2)
         self.std = math.sqrt(noise_sigma ** 2 / (1.0 + noise_sigma ** 2)) * scale_factor
+        self._grid = None
 
     def log_density(self, theta, x):
         theta = _rows(theta, self.dim_theta, "theta")
@@ -439,12 +502,37 @@ class GaussianLinearPosterior:
         The quadratic is summed one dimension at a time as
         ((theta_d - coef x_d) / std)^2, the form `log_density` uses, so a
         grid row equals the paired rows bit for bit and no |grid|^2 term is
-        computed.
+        computed. On a product grid (`product_axes`) each term is computed
+        once per axis value and the terms are broadcast-added into `out`;
+        other point sets take every term on every row. Whether the grid is
+        a product is kept for the last grid array passed, as
+        `problems.LikelihoodPosterior` keeps its grid terms.
         """
         grid = _rows(grid, self.dim_theta, "grid")
         xs = _rows(xs, self.dim_theta, "xs")
-        return self._finish(sum_sq_scaled(grid[None], self.coef * xs[:, None],
-                                          self.std, out))
+        if self._grid is None or self._grid[0] is not grid:
+            self._grid = (grid, product_axes(grid))
+        axes = self._grid[1]
+        if out is None:
+            out = np.empty((xs.shape[0], grid.shape[0]))
+        if axes is None or not out.flags.c_contiguous:     # reshape would copy
+            return self._finish(sum_sq_scaled(grid[None], self.coef * xs[:, None],
+                                              self.std, out))
+        # out[i] seen as (r, ..., r): axis d's term varies along index d only
+        n, r, dim = xs.shape[0], axes[0].size, self.dim_theta
+        cube = out.reshape((n,) + (r,) * dim)
+        total = None
+        for d, axis in enumerate(axes):
+            term = axis - self.coef * xs[:, d:d + 1]                # (n, r)
+            term /= self.std
+            term *= term
+            shape = [n] + [1] * dim
+            shape[1 + d] = r
+            term = term.reshape(shape)
+            total = term if total is None else np.add(total, term, out=cube)
+        if dim == 1:
+            cube[...] = total
+        return self._finish(out)
 
     def _finish(self, sq):
         """-sq / 2 minus the log normalizer, in place."""

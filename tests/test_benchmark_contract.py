@@ -66,6 +66,8 @@ def _installed(rec):
 
 def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
     before = _calsbi_bindings()
+    # the prior proposal owns its density rows, as NpeFlow owns its grid pass
+    prior_rows = vars(covreg.PriorProposal)["log_density_rows"]
     rec = spans.Recorder()
     with _installed(rec) as state:
         for cls in (covreg.PriorProposal, covreg.DensityProposal):
@@ -86,6 +88,8 @@ def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
             "covreg.rank_core", "covreg.sort_loss"} <= set(rec.names)
     changed = [k for k in before if after.get(k) is not before[k]]
     assert changed == []
+    assert after[("calsbi.covreg", "PriorProposal", "log_density_rows")] is prior_rows
+    assert vars(covreg.PriorProposal)["log_density_rows"] is prior_rows
 
 
 def test_traced_regularized_npe_step_records_one_density_span():

@@ -200,6 +200,8 @@ def test_prior_proposal_density_is_the_prior_density():
     assert np.isneginf(expected).any() and np.isfinite(expected).any()
     got = covreg.PriorProposal(prior).log_density_rows(thetas, np.zeros((6, 3)))
     np.testing.assert_array_equal(got, expected)
+    with pytest.raises(ValueError, match="evenly"):
+        covreg.PriorProposal(prior).log_density_rows(thetas, np.zeros((5, 3)))
 
 
 def test_prior_proposal_is_the_prior_posterior():

@@ -40,15 +40,34 @@ def test_gaussian_prior_matches_closed_form(rng):
     np.testing.assert_allclose(prior.log_density(theta), expected, rtol=1e-12)
 
 
-def test_prior_graph_matches_numpy(rng):
-    for prior in (Prior.gaussian([0.0, 0.0], [1.0, 2.0]),
-                  Prior.gaussian([0.3, -0.2], [0.7, 3.0]),
-                  Prior.uniform_box([-2.0, -2.0], [2.0, 2.0])):
+def _priors(dim, rng):
+    """A standard and a shifted, scaled Gaussian, and a box, in `dim` dimensions."""
+    return (Prior.gaussian(np.zeros(dim), np.ones(dim)),
+            Prior.gaussian(rng.uniform(-1.0, 1.0, dim), rng.uniform(0.3, 3.0, dim)),
+            Prior.uniform_box(rng.uniform(-2.5, -1.5, dim), rng.uniform(1.5, 2.5, dim)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_prior_graph_matches_numpy(rng, dim):
+    # 9 columns: numpy's row sum adds 8 or more columns pairwise
+    for prior in _priors(dim, rng):
         theta = np.concatenate([prior.sample(rng, 16),
-                                rng.uniform(-4.0, 4.0, size=(16, 2))])
+                                rng.uniform(-4.0, 4.0, size=(16, dim))])
         graph = prior.log_density_graph(Value(theta)).data[:, 0]
         np.testing.assert_array_equal(graph, prior.log_density(theta))
-    assert np.isneginf(graph).any()      # the box, off its support
+    assert np.isneginf(graph).any() and np.isfinite(graph).any()  # the box
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_prior_samples_equal_the_broadcast_formulas(dim):
+    for prior in _priors(dim, np.random.default_rng(dim)):
+        draws = prior.sample(np.random.default_rng(7), 50)
+        rng = np.random.default_rng(7)
+        if prior.kind == "uniform-box":
+            expected = rng.uniform(prior.low, prior.high, size=(50, dim))
+        else:
+            expected = prior.mean + prior.scale * rng.standard_normal((50, dim))
+        np.testing.assert_array_equal(draws, expected)
 
 
 def test_prior_samples_stay_in_support(rng):

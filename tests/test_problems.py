@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from calsbi.estimators import GaussianLinearPosterior, NpeFlow, NreModel
+from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, NreModel,
+                               product_axes)
 from calsbi.problems import (Dataset, LikelihoodPosterior, analytic_posterior,
                              get_problem, grid_layout, load_dataset,
                              mixture_demo_densities, oracle_posterior,
@@ -289,22 +290,56 @@ def test_grid_density_written_into_a_buffer_equals_the_fresh_return(name):
     assert filled.base is buf
     np.testing.assert_array_equal(buf[:5], fresh)
     assert np.isnan(buf[5:]).all()
-    # a second grid array is evaluated afresh, not from the first grid's terms
-    other = grid_layout(problem, 20).points
-    np.testing.assert_array_equal(oracle.log_density_grid(other, ds.xs),
-                                  make_oracle(problem).log_density_grid(other, ds.xs))
+    # a second grid array is evaluated afresh, not from the first grid's
+    # terms: another resolution, a shifted grid of the same shape, and the
+    # same points in another row order
+    shuffled = points[np.random.default_rng(46).permutation(len(points))]
+    for other in (grid_layout(problem, 20).points, points + 0.25, shuffled):
+        np.testing.assert_array_equal(oracle.log_density_grid(other, ds.xs),
+                                      make_oracle(problem).log_density_grid(other, ds.xs))
 
 
+@pytest.mark.parametrize("points", ["grid-1", "grid-7", "grid-64", "shuffled", "thetas"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_gaussian_oracle_grid_rows_equal_paired_rows_bit_for_bit(dim):
+def test_gaussian_oracle_grid_rows_equal_paired_rows_bit_for_bit(dim, points):
+    # product grids take the per-axis terms, other point sets every term on
+    # every row; both equal paired rows
+    problem = get_problem("gaussian-linear", dim=dim)
     oracle = GaussianLinearPosterior(noise_sigma=0.5, dim=dim, scale_factor=1.3)
     rng = np.random.default_rng(45)
-    grid = 4.0 * rng.standard_normal((300, dim))
+    if points.startswith("grid-"):
+        grid = grid_layout(problem, int(points[5:])).points
+    elif points == "shuffled":
+        grid = grid_layout(problem, 7).points
+        grid = grid[rng.permutation(len(grid))]
+    else:
+        grid = simulate_dataset(problem, 300, seed=45).thetas
+    assert (product_axes(grid) is not None) == (points.startswith("grid-") or dim == 1)
     xs = 3.0 * rng.standard_normal((4, dim))
     rows = oracle.log_density_grid(grid, xs)
     for x, row in zip(xs, rows):
         np.testing.assert_array_equal(
             row, oracle.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
+    # a buffer that is not C-contiguous is written too
+    buf = np.full((4, 2 * len(grid)), np.nan)
+    oracle.log_density_grid(grid, xs, out=buf[:, ::2])
+    np.testing.assert_array_equal(buf[:, ::2], rows)
+
+
+def test_product_axes_finds_the_grid_coordinates_and_rejects_other_point_sets():
+    layout = grid_layout(get_problem("nonlinear-2d"), 9)
+    axes = product_axes(layout.points)
+    centers = np.unique(layout.points[:, 0])
+    assert len(axes) == 2
+    np.testing.assert_array_equal(axes[0], centers)
+    np.testing.assert_array_equal(axes[1], centers)
+    cube = grid_layout(get_problem("gaussian-linear", dim=3), 4).points
+    assert [a.size for a in product_axes(cube)] == [4, 4, 4]
+    rng = np.random.default_rng(47)
+    assert product_axes(layout.points[rng.permutation(81)]) is None
+    assert product_axes(layout.points[:80]) is None               # not a square
+    assert product_axes(layout.points[:, ::-1]) is None            # xy order
+    assert product_axes(rng.uniform(size=(81, 2))) is None
 
 
 # -- mixture demo densities --------------------------------------------------------

@@ -242,22 +242,27 @@ def test_regularized_step_draws_from_the_prior(method, monkeypatch):
 
 def test_plain_nre_step_never_builds_the_prior_log_density(monkeypatch):
     problem, ds, model, reg = _step_setup("nre")
-    calls = []
-    real = problem.prior.log_density_graph
+    calls = {"log_density_graph": [], "log_density": []}
 
-    def recording(theta):
-        calls.append(theta.data.shape[0])
-        return real(theta)
+    def record(name):
+        real = getattr(problem.prior, name)
 
-    monkeypatch.setattr(problem.prior, "log_density_graph", recording)
+        def recording(theta):
+            calls[name].append(len(getattr(theta, "data", theta)))
+            return real(theta)
+        monkeypatch.setattr(problem.prior, name, recording)
+
+    record("log_density_graph")
+    record("log_density")
     rngs = (np.random.default_rng(0), np.random.default_rng(1))
     opt = AdamW(model.parameters())
     trainer.train_step(model, opt, ds.thetas, ds.xs, None, 5.0, rngs, problem.prior)
-    assert calls == []
+    assert calls == {"log_density_graph": [], "log_density": []}
     trainer.train_step(model, opt, ds.thetas, ds.xs, reg, 5.0, rngs, problem.prior)
-    # the regularized step reads it on the base loss's rows (negative,
-    # nominal and draws) and on the draws, for the proposal density
-    assert calls == [ds.count * (2 + reg.num_samples), ds.count * reg.num_samples]
+    # the regularized step builds it on the base loss's rows (negative,
+    # nominal and draws) and evaluates it on the draws, for the proposal
+    assert calls == {"log_density_graph": [ds.count * (2 + reg.num_samples)],
+                     "log_density": [ds.count * reg.num_samples]}
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
