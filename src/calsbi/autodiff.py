@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A dynamic computation graph of `Value` nodes, rebuilt on every evaluation.
-Arrays are numpy float64 throughout; gradients accumulate additively, so
-calling backward twice without resetting doubles them. Backward closures
-build no gradient for operands that do not require one (data, shifts,
-targets), and `dense` fuses a layer's matmul, bias and SELU into one node.
+Arrays are numpy float64 throughout; backward adds each leaf's gradient
+into its .grad in place, so calling backward twice without resetting
+doubles them. Backward closures build no gradient for operands that do
+not require one (data, shifts, targets), and `dense` fuses a layer's
+matmul, bias and SELU into one node.
 Under `no_grad` inside a `workspace()`, the forward ops write their results
 into pooled arrays, so row-block loops stop allocating after one block.
 """
@@ -163,9 +164,11 @@ class Value:
     def backward(self):
         """Add d(self)/d(leaf) into .grad of every reachable leaf.
 
-        Gradients of one pass are kept in pass-local storage, so running
-        backward twice on the same graph accumulates exactly twice the
-        gradient into the leaves.
+        Gradients of one pass are kept in pass-local storage; when the one
+        reverse sweep reaches a leaf, its pass total is added into its .grad
+        in place (a leaf without one gets a copy). Running backward twice
+        on the same graph accumulates exactly twice the gradient, and a
+        .grad that is a view of AdamW's vector is written through.
         """
         global _pass_grads
         if self.data.size != 1:
@@ -190,13 +193,14 @@ class Value:
             self._accum(np.ones_like(self.data))
             for node in reversed(topo):
                 g = _pass_grads.get(id(node))
-                if g is not None and node._backward is not None:
+                if g is None:
+                    continue
+                if node._backward is not None:
                     node._backward(g)
-            for node in topo:
-                if node._backward is None:
-                    g = _pass_grads.get(id(node))
-                    if g is not None:
-                        node.grad = g.copy() if node.grad is None else node.grad + g
+                elif node.grad is None:
+                    node.grad = g.copy()
+                else:
+                    node.grad += g
         finally:
             _pass_grads = None
 

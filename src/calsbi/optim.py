@@ -29,8 +29,11 @@ class AdamW:
     The parameters are copied once into one float64 vector, `data`, and each
     parameter's `.data` becomes a view of its slice, so a step is a few
     whole-vector ops and writes through the views (a checkpoint load or a
-    `data[...] = ...` lands in the vector). `m` and `v` are vectors of the
-    same length. The parameters belong to the last AdamW built on them.
+    `data[...] = ...` lands in the vector). Each parameter's `.grad` is the
+    same slice of `grad`, where backward adds its gradient in place;
+    `zero_grad` clears it and `step` takes the (clipped) gradient vector.
+    `m` and `v` are vectors of the same length. The parameters belong to
+    the last AdamW built on them.
     """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
@@ -47,36 +50,21 @@ class AdamW:
         values = list(self.params.values())
         self._offsets = np.cumsum([0] + [p.data.size for p in values])
         self.data = np.empty(self._offsets[-1])
+        self.grad = np.zeros_like(self.data)
         for p, lo, hi in zip(values, self._offsets[:-1], self._offsets[1:]):
             view = self.data[lo:hi].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
+            p.grad = self.grad[lo:hi].reshape(p.data.shape)
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        self.grad.fill(0.0)
 
-    def gradients(self):
-        """The parameters' gradients as one vector laid out like `data`;
-        zeros where a gradient is unset."""
-        out = np.zeros_like(self.data)
-        for (name, p), lo, hi in zip(self.params.items(), self._offsets[:-1],
-                                     self._offsets[1:]):
-            if p.grad is None:
-                continue
-            if p.grad.shape != p.data.shape:
-                raise ValueError(f"gradient shape {p.grad.shape} does not match "
-                                 f"parameter {name!r} shape {p.data.shape}")
-            out[lo:hi] = p.grad.ravel()
-        return out
-
-    def step(self, grad=None):
-        """Apply one AdamW update from the .grad fields or a flat gradient
-        vector laid out like `data`."""
-        if grad is None:
-            grad = self.gradients()
+    def step(self, grad):
+        """Apply one AdamW update from a flat gradient vector laid out like
+        `data`, such as `grad` after clipping."""
         if grad.shape != self.data.shape:
             raise ValueError(f"gradient shape {grad.shape} does not match "
                              f"parameter vector shape {self.data.shape}")

@@ -202,7 +202,8 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
     The base loss then runs the network once, on every pair's nominal row
     and draws (and for nre its negative), so the batch is embedded once,
     and hands the draws and their log densities to the regularizer. Then
-    backward, global-norm clipping of the flat gradient and AdamW. `rngs` is
+    backward, which writes every parameter's gradient into the optimizer's
+    flat `opt.grad`, global-norm clipping of that vector and AdamW. `rngs` is
     (negative pairing, prior draws). A non-finite loss, density or gradient
     raises TrainAbort at (epoch, batch). Returns (base, regularizer, total,
     pre-clip gradient norm, degenerate rows).
@@ -226,7 +227,7 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
             raise TrainAbort(epoch, batch, f"non-finite loss {tval}")
         opt.zero_grad()
         total.backward()
-        grad, pre_norm = clip_grad_norm(opt.gradients(), clip_norm)
+        grad, pre_norm = clip_grad_norm(opt.grad, clip_norm)
         opt.step(grad)
     except FloatingPointError as exc:
         raise TrainAbort(epoch, batch, str(exc)) from exc

@@ -369,8 +369,7 @@ def test_straight_through_forwards_hard_and_backwards_soft(rng):
 def test_adamw_first_step_matches_hand_applied_update():
     p = Value(np.array([0.0]), requires_grad=True)
     opt = AdamW({"p": p}, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
-    p.grad = np.array([1.0])
-    opt.step()
+    opt.step(np.array([1.0]))
     # bias-corrected m_hat = 1, v_hat = 1 -> update = -lr / (1 + eps)
     expected = -1e-3 / (1.0 + 1e-8)
     assert p.data[0] == pytest.approx(expected, rel=1e-12)
@@ -379,16 +378,14 @@ def test_adamw_first_step_matches_hand_applied_update():
 def test_adamw_zero_gradient_leaves_params_unchanged():
     p = Value(np.array([1.5, -2.0]), requires_grad=True)
     opt = AdamW({"p": p}, lr=1e-3)
-    p.grad = np.zeros(2)
-    opt.step()
+    opt.step(np.zeros(2))
     np.testing.assert_array_equal(p.data, [1.5, -2.0])
 
 
 def test_adamw_decoupled_decay_shrinks_multiplicatively():
     p = Value(np.array([2.0]), requires_grad=True)
     opt = AdamW({"p": p}, lr=0.01, weight_decay=0.5)
-    p.grad = np.zeros(1)
-    opt.step()
+    opt.step(np.zeros(1))
     assert p.data[0] == pytest.approx(2.0 * (1.0 - 0.01 * 0.5), rel=1e-15)
 
 
@@ -397,8 +394,7 @@ def test_adamw_is_deterministic():
         p = Value(np.array([0.3, -0.4]), requires_grad=True)
         opt = AdamW({"p": p}, lr=1e-2, weight_decay=0.1)
         for i in range(5):
-            p.grad = np.array([0.1 * i, -0.2])
-            opt.step()
+            opt.step(np.array([0.1 * i, -0.2]))
         return p.data.copy()
 
     np.testing.assert_array_equal(run(), run())
@@ -407,17 +403,15 @@ def test_adamw_is_deterministic():
 def test_adamw_rejects_non_finite_gradient_naming_parameter():
     p = Value(np.array([0.0]), requires_grad=True)
     opt = AdamW({"weights.w0": p})
-    p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="weights.w0"):
-        opt.step()
+        opt.step(np.array([np.nan]))
 
 
 def test_adamw_step_counter_increases_by_one():
     p = Value(np.array([0.0]), requires_grad=True)
     opt = AdamW({"p": p})
     for expected in (1, 2, 3):
-        p.grad = np.array([1.0])
-        opt.step()
+        opt.step(np.array([1.0]))
         assert opt.step_count == expected
 
 
@@ -461,31 +455,41 @@ def test_adamw_parameters_are_views_of_its_vector(rng):
     params = _named_params(rng)
     before = {k: p.data.copy() for k, p in params.items()}
     opt = AdamW(params)
-    assert opt.data.shape == opt.m.shape == opt.v.shape == (6 + 2 + 2,)
+    assert (opt.data.shape == opt.grad.shape == opt.m.shape == opt.v.shape
+            == (6 + 2 + 2,))
     for k, p in params.items():
-        assert p.data.base is opt.data
+        assert p.data.base is opt.data and p.grad.base is opt.grad
         np.testing.assert_array_equal(p.data, before[k])
     # a checkpoint load writes through `data[...]` and lands in the vector
     params["b.w0"].data[...] = [[7.0], [8.0]]
     np.testing.assert_array_equal(opt.data[-2:], [7.0, 8.0])
     p = params["a.b0"]
-    p.grad = np.ones((1, 2))
-    opt.step()
+    p.grad[...] = 1.0
+    opt.step(opt.grad)
     assert p.data.base is opt.data and np.all(p.data < 0.0)
 
 
-def test_adamw_gradients_are_one_vector_with_zeros_where_unset(rng):
+def test_backward_lands_in_the_optimizer_vector_at_each_offset(rng):
     params = _named_params(rng)
     opt = AdamW(params)
-    params["a.w0"].grad = np.arange(6.0).reshape(3, 2)
-    params["b.w0"].grad = np.array([[-1.0], [-2.0]])
-    np.testing.assert_array_equal(opt.gradients(),
-                                  [0, 1, 2, 3, 4, 5, 0, 0, -1, -2])
+    opt.grad[...] = 7.0
     opt.zero_grad()
-    np.testing.assert_array_equal(opt.gradients(), np.zeros(10))
-    params["a.b0"].grad = np.ones(2)
-    with pytest.raises(ValueError, match="a.b0"):
-        opt.gradients()
+    x = rng.standard_normal((4, 3))
+    w1, w2 = params["a.w0"], params["b.w0"]
+    # the pass reaches a.w0 and b.w0, not a.b0
+    loss = ((Value(x) @ w1) @ w2).sum()
+    loss.backward()
+    ones = np.ones((4, 1))
+    np.testing.assert_allclose(opt.grad[:6], (x.T @ (ones @ w2.data.T)).ravel(),
+                               rtol=1e-12)
+    np.testing.assert_array_equal(opt.grad[6:8], [0.0, 0.0])
+    np.testing.assert_allclose(opt.grad[8:], (x @ w1.data).T @ ones[:, 0],
+                               rtol=1e-12)
+    for p in params.values():
+        assert p.grad.base is opt.grad
+    first = opt.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(opt.grad, 2.0 * first)
 
 
 def test_adamw_rejects_non_finite_gradient_naming_the_parameter_at_its_offset(rng):
@@ -512,9 +516,11 @@ def test_flat_adamw_equals_a_per_array_reference_bit_for_bit(rng):
     for t in range(1, 6):
         grads = {k: rng.standard_normal(a.shape) for k, a in ref.items()}
         grads["a.b0"] = None if t == 2 else grads["a.b0"]
+        opt.zero_grad()
         for k, p in params.items():
-            p.grad = grads[k]
-        opt.step()
+            if grads[k] is not None:
+                p.grad[...] = grads[k]
+        opt.step(opt.grad)
         # the update as it runs one array at a time
         for k, data in ref.items():
             g = grads[k] if grads[k] is not None else np.zeros_like(data)

@@ -282,6 +282,7 @@ def test_shared_forward_step_gradients_match_separate_calls(method):
         (np.random.default_rng(0), np.random.default_rng(1)), problem.prior)
     assert (b, r) == (float(base.data[0]), float(rloss.data[0]))
     for k, p in params.items():
+        assert p.grad.base is opt.grad
         np.testing.assert_allclose(p.grad, expected[k], rtol=1e-12, atol=1e-12)
 
 
