@@ -58,8 +58,11 @@ class RegConfig:
             raise ValueError(f"unknown loss form {self.loss_form!r}")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
-        if self.weight < 0 or self.temperature <= 0 or self.sort_relaxation < 0:
-            raise ValueError("weight/relaxation must be >= 0 and temperature > 0")
+        if not (0 <= self.weight < np.inf and self.temperature > 0
+                and self.sort_relaxation >= 0):     # NaN fails each test
+            raise ValueError(f"need weight in [0, inf), temperature > 0 and "
+                             f"sort_relaxation >= 0; got {self.weight}, "
+                             f"{self.temperature}, {self.sort_relaxation}")
         if self.loss_form == "direct":
             if len(self.levels) < 1 or not all(0 < a < 1 for a in self.levels):
                 raise ValueError("direct form needs levels strictly inside (0, 1)")
@@ -88,7 +91,7 @@ def ste_indicator(u, temperature=1.0):
     outside, i.e. the derivative profile of a Hard-Tanh stretched to the
     band width. Forward values never depend on the temperature.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     u = u if isinstance(u, Value) else Value(u)
     hard = (u.data > 0).astype(np.float64)

@@ -11,7 +11,7 @@ def clip_grad_norm(grad, max_norm):
     Returns (scaled gradient, pre-clip norm); a gradient within the bound is
     returned as it is.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = math.sqrt(float(grad @ grad))
     if total <= max_norm:
@@ -39,8 +39,9 @@ class AdamW:
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         if not 0.0 < betas[0] < 1.0 or not 0.0 < betas[1] < 1.0:
             raise ValueError(f"betas must lie in (0, 1), got {betas}")
-        if lr <= 0 or eps <= 0 or weight_decay < 0:
-            raise ValueError("lr and eps must be positive, weight_decay non-negative")
+        if not (0 < lr < math.inf and eps > 0 and 0 <= weight_decay < math.inf):
+            raise ValueError(f"need lr in (0, inf), eps > 0, weight_decay in [0, inf); "
+                             f"got lr={lr}, eps={eps}, weight_decay={weight_decay}")
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -251,6 +251,10 @@ def train(config, dataset, problem=None, out_dir=None):
                          f"config problem {config.problem_id!r}")
     if dataset.count < config.batch_size:
         raise ValueError("training budget smaller than one batch")
+    th_train, x_train, th_val, x_val = _split(dataset, config.validation_fraction)
+    n_train = th_train.shape[0]
+    if n_train < 2:
+        raise ValueError(f"training split holds {n_train} pairs; a batch needs >= 2")
     if problem is None:
         problem = problem_for_dataset(dataset)
     ss = np.random.SeedSequence(config.seed)
@@ -259,8 +263,6 @@ def train(config, dataset, problem=None, out_dir=None):
     model = build_model(config.method, problem.prior, dataset.dim_x,
                         config.arch(), rng=rng_init)
     opt = _optimizer(config, model)
-    th_train, x_train, th_val, x_val = _split(dataset, config.validation_fraction)
-    n_train = th_train.shape[0]
 
     report = TrainReport()
     best_val = np.inf

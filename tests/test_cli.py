@@ -198,6 +198,40 @@ def test_eval_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--lambda", "nan"], "got nan, 1.0, 0.0"),
+    (["--lambda", "inf"], "got inf, 1.0, 0.0"),
+    (["--lambda", "-1"], "got -1.0, 1.0, 0.0"),
+    (["--ste-temperature", "nan"], "got 5.0, nan, 0.0"),
+    (["--sort-relaxation", "nan"], "got 5.0, 1.0, nan"),
+    (["--lr", "nan"], "lr=nan"),
+    (["--lr", "inf"], "lr=inf"),
+    (["--weight-decay", "nan"], "weight_decay=nan"),
+    (["--weight-decay", "inf"], "weight_decay=inf"),
+    (["--clip", "nan"], "max_norm must be positive, got nan"),
+], ids=["lambda-nan", "lambda-inf", "lambda-negative", "ste-temperature-nan",
+        "sort-relaxation-nan", "lr-nan", "lr-inf", "weight-decay-nan",
+        "weight-decay-inf", "clip-nan"])
+def test_train_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
+                                                    flags, message):
+    out = tmp_path / "t"
+    code = run(["train", "--method", "npe", "--epochs", "1", "--batch", "64",
+                "--L", "2", "--data", data_file, "--out-dir", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_clip_inf_trains_without_clipping(data_file, tmp_path):
+    out = tmp_path / "t"
+    code = run(["train", "--method", "nre", "--reg", "none", "--epochs", "1",
+                "--batch", "64", "--clip", "inf", "--data", data_file,
+                "--out-dir", str(out)])
+    assert code == 0
+    assert "clip=inf" in (out / "manifest.txt").read_text()
+
+
 @pytest.mark.parametrize("ecp", ["grid", "both"])
 def test_eval_grid_on_three_parameters_exits_two_before_any_output(tmp_path,
                                                                    capsys, ecp):

@@ -147,6 +147,15 @@ def test_budget_smaller_than_batch_rejected():
         train(small_config(batch_size=64), ds)
 
 
+@pytest.mark.parametrize("fraction,n_train", [(0.9, 0), (0.7, 1)])
+def test_training_split_under_two_pairs_rejected_before_the_model_is_built(
+        monkeypatch, fraction, n_train):
+    ds = simulate_dataset("gaussian-linear", 4, seed=0)
+    monkeypatch.setattr(trainer, "build_model", None)
+    with pytest.raises(ValueError, match=f"training split holds {n_train} pairs"):
+        train(small_config(batch_size=2, validation_fraction=fraction), ds)
+
+
 def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
     def fake_regularizer(posterior, thetas, xs, config, rng, prior=None,
                          block=None):
