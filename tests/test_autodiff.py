@@ -469,7 +469,7 @@ def test_adamw_parameters_are_views_of_its_vector(rng):
     assert p.data.base is opt.data and np.all(p.data < 0.0)
 
 
-def test_backward_lands_in_the_optimizer_vector_at_each_offset(rng):
+def test_adamw_gradients_are_one_vector_with_zeros_where_unset(rng):
     params = _named_params(rng)
     opt = AdamW(params)
     opt.grad[...] = 7.0
