@@ -6,11 +6,14 @@ into its .grad in place, so calling backward twice without resetting
 doubles them. Backward closures build no gradient for operands that do
 not require one (data, shifts, targets), and `dense` fuses a layer's
 matmul, bias and SELU into one node.
-Under `no_grad` inside a `workspace()`, the forward ops write their results
-into pooled arrays, so row-block loops stop allocating after one block.
+Inside a `workspace()`, the forward ops and the backward closures write
+results of `_POOL_MIN_SIZE` elements or more into pooled arrays, with grad
+on or off, so row-block loops and training steps stop allocating after the
+first.
 """
 
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -43,16 +46,18 @@ def no_grad():
 
 @contextlib.contextmanager
 def workspace():
-    """Pool the result arrays of the no_grad ops run inside the block.
+    """Pool the result arrays of the ops run inside the block.
 
-    Under `no_grad`, the elementwise ops, `neg`, `exp`, `tanh`, `square`,
-    `sum(axis, keepdims=True)`, `concat`, `repeat_rows` and `dense` write
-    into arrays kept per shape, and an array is handed out again only when
-    nothing else refers to it: no Value, no view, no name. Live results are
-    therefore never overwritten and need no copy, and a loop over row blocks
-    of one shape allocates only in its first block. With grad on, ops
-    allocate as they do outside. Yields the pool, a dict shape -> arrays,
-    which is dropped on exit.
+    The elementwise ops, `neg`, `exp`, `tanh`, `square`, `sum(axis,
+    keepdims=True)`, `concat`, `repeat_rows` and `dense`, and with grad on
+    the gradient sums and the temporaries of the `dense`, `sum`, `slice`,
+    `mul` and `exp` backward closures, write into arrays kept per shape. An
+    array is handed out again only when nothing else refers to it: no
+    Value, no closure, no view, no name. Live results are therefore never
+    overwritten and need no copy, and a loop over row blocks or training
+    batches of one shape allocates only in its first pass. Shapes of fewer
+    than `_POOL_MIN_SIZE` elements allocate as they do outside. Yields the
+    pool, a dict shape -> arrays, which is dropped on exit.
     """
     global _pool
     prev = _pool
@@ -76,12 +81,21 @@ def _first_free(arrays, refs):
 _FREE_REFS = next(r for r in range(1, 16) if _first_free([np.empty(0)], r) is not None)
 
 
+# Arrays of fewer elements (32 KiB) allocate outside the pool: malloc serves
+# them from its free lists with no page fault to spare, so pooling them saved
+# no time, and keeping them all alive raised the regularized flow training's
+# peak RSS by 0.7 MB. Arrays over glibc's 128 KiB mmap threshold are mapped
+# and faulted in afresh on every malloc; the pool spares them that.
+_POOL_MIN_SIZE = 4096
+
+
 def _buffer(shape):
     """A pooled float64 array of `shape` for an op's result, or None.
 
-    None (the op allocates) unless grad is off inside a `workspace()`.
+    None (the op allocates) outside a `workspace()` and for shapes of fewer
+    than `_POOL_MIN_SIZE` elements.
     """
-    if _pool is None or _grad_enabled:
+    if _pool is None or math.prod(shape) < _POOL_MIN_SIZE:
         return None
     arrays = _pool.get(shape)
     if arrays is None:
@@ -91,6 +105,15 @@ def _buffer(shape):
         arr = np.empty(shape)
         arrays.append(arr)
     return arr
+
+
+def _filled(shape, value):
+    """An array of `shape` holding `value` broadcast, from the pool if it has one."""
+    out = _buffer(shape)
+    if out is None:
+        out = np.empty(shape)
+    out[...] = value
+    return out
 
 
 def _broadcast_shape(s, t):
@@ -159,14 +182,16 @@ class Value:
         g = _unbroadcast(grad, self.data.shape)
         key = id(self)
         prev = _pass_grads.get(key)
-        _pass_grads[key] = g if prev is None else prev + g
+        _pass_grads[key] = g if prev is None else np.add(prev, g, out=_buffer(prev.shape))
 
     def backward(self):
         """Add d(self)/d(leaf) into .grad of every reachable leaf.
 
-        Gradients of one pass are kept in pass-local storage; when the one
-        reverse sweep reaches a leaf, its pass total is added into its .grad
-        in place (a leaf without one gets a copy). Running backward twice
+        Gradients of one pass are kept in pass-local storage, and a node's
+        is dropped once its closure has run, so inside a `workspace()` its
+        array returns to the pool during the sweep. When the one reverse
+        sweep reaches a leaf, its pass total is added into its .grad in
+        place (a leaf without one gets a copy). Running backward twice
         on the same graph accumulates exactly twice the gradient, and a
         .grad that is a view of AdamW's vector is written through.
         """
@@ -192,7 +217,7 @@ class Value:
         try:
             self._accum(np.ones_like(self.data))
             for node in reversed(topo):
-                g = _pass_grads.get(id(node))
+                g = _pass_grads.pop(id(node), None)
                 if g is None:
                     continue
                 if node._backward is not None:
@@ -263,9 +288,9 @@ class Value:
 
         def backward(g):
             if a.requires_grad:
-                a._accum(g * b.data)
+                a._accum(np.multiply(g, b.data, out=_buffer(g.shape)))
             if b.requires_grad:
-                b._accum(g * a.data)
+                b._accum(np.multiply(g, a.data, out=_buffer(g.shape)))
 
         return Value._node(out, (a, b), "mul", backward)
 
@@ -315,7 +340,7 @@ class Value:
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
+            a._accum(_filled(a.data.shape, g))
 
         return Value._node(out, (a,), "sum", backward)
 
@@ -328,7 +353,8 @@ class Value:
     def exp(self):
         a = self
         out = np.exp(a.data, out=_buffer(a.data.shape))
-        return Value._node(out, (a,), "exp", lambda g: a._accum(g * out))
+        return Value._node(out, (a,), "exp",
+                           lambda g: a._accum(np.multiply(g, out, out=_buffer(g.shape))))
 
     def log(self):
         a = self
@@ -380,7 +406,7 @@ class Value:
         out = a.data[key]
 
         def backward(g):
-            full = np.zeros_like(a.data)
+            full = _filled(a.data.shape, 0.0)
             full[key] += g
             a._accum(full)
 
@@ -455,6 +481,8 @@ def dense(x, w, b, selu=False):
     The forward runs in place on the matmul output. The SELU derivative is
     rebuilt from the output alone (lambda where it is positive, out +
     lambda * alpha elsewhere), so the node keeps no pre-activation or mask.
+    The output, the derivative, its step mask and the input gradient are
+    pooled arrays inside a `workspace()`.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"dense: incompatible shapes {x.data.shape} @ {w.data.shape}")
@@ -476,14 +504,16 @@ def dense(x, w, b, selu=False):
         if selu:
             # min(out, 0) + lambda*alpha, lowered to lambda where out > 0; as
             # arithmetic, several times faster than np.where on a sign mask
-            local = np.minimum(out, 0.0)
+            local = np.minimum(out, 0.0, out=_buffer(out.shape))
             local += _SELU_SLOPE_AT_ZERO
-            local -= (out > 0.0) * (_SELU_SLOPE_AT_ZERO - SELU_LAMBDA)
+            local -= np.multiply(out > 0.0, _SELU_SLOPE_AT_ZERO - SELU_LAMBDA,
+                                 out=_buffer(out.shape))
             local *= g
             g = local
         if x.requires_grad:
             # BLAS runs a contiguous copy of the small w.T faster than the view
-            x._accum(g @ np.ascontiguousarray(w.data.T))
+            x._accum(np.matmul(g, np.ascontiguousarray(w.data.T),
+                               out=_buffer((g.shape[0], w.data.shape[0]))))
         if w.requires_grad:
             w._accum(x.data.T @ g)
         if b.requires_grad:

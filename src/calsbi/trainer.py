@@ -10,9 +10,8 @@ checkpoint names its problem, and its prior comes from the registry.
 import json
 import os
 import struct
-import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in [0, 1)")
 
@@ -187,13 +188,6 @@ def base_loss(model, thetas, xs, rng, draws=None):
     return npe_base_loss(model, thetas, xs, draws)
 
 
-def _optimizer(config, model):
-    """The AdamW of `config` over the model's parameters; training and the
-    overhead probe both build theirs here."""
-    return AdamW(model.parameters(), lr=config.learning_rate,
-                 weight_decay=config.weight_decay)
-
-
 def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
                epoch=0, batch=0):
     """One optimizer step on one batch; the body of every training loop.
@@ -203,10 +197,12 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
     and draws (and for nre its negative), so the batch is embedded once,
     and hands the draws and their log densities to the regularizer. Then
     backward, which writes every parameter's gradient into the optimizer's
-    flat `opt.grad`, global-norm clipping of that vector and AdamW. `rngs` is
-    (negative pairing, prior draws). A non-finite loss, density or gradient
-    raises TrainAbort at (epoch, batch). Returns (base, regularizer, total,
-    pre-clip gradient norm, degenerate rows).
+    flat `opt.grad`, global-norm clipping of that vector and AdamW. Inside
+    `train`'s `autodiff.workspace`, the step's large activations and
+    backward temporaries are pooled arrays that the next step reuses.
+    `rngs` is (negative pairing, prior draws). A non-finite loss, density
+    or gradient raises TrainAbort at (epoch, batch). Returns (base,
+    regularizer, total, pre-clip gradient norm, degenerate rows).
     """
     rng_neg, rng_reg = rngs
     try:
@@ -244,7 +240,9 @@ def _split(dataset, fraction):
 def train(config, dataset, problem=None, out_dir=None):
     """Run the full loop; returns the trained model, report, and best params.
 
-    `problem` must be the dataset's registry problem; None looks it up.
+    The epochs, their steps and validation passes alike, run in one
+    `autodiff.workspace`. `problem` must be the dataset's registry problem;
+    None looks it up.
     """
     if dataset.problem_id != config.problem_id:
         raise ValueError(f"dataset problem {dataset.problem_id!r} does not match "
@@ -262,50 +260,52 @@ def train(config, dataset, problem=None, out_dir=None):
                                                for c in ss.spawn(4)]
     model = build_model(config.method, problem.prior, dataset.dim_x,
                         config.arch(), rng=rng_init)
-    opt = _optimizer(config, model)
+    opt = AdamW(model.parameters(), lr=config.learning_rate,
+                weight_decay=config.weight_decay)
 
     report = TrainReport()
     best_val = np.inf
     best_params = {k: v.data.copy() for k, v in model.parameters().items()}
     reg = config.reg if config.reg is not None and config.reg.weight > 0 else None
-    for epoch in range(config.epochs):
-        order = rng_shuffle.permutation(n_train)
-        sums = np.zeros(4)
-        degenerate = 0
-        rows = 0
-        n_batches = 0
-        for start in range(0, n_train, config.batch_size):
-            take = order[start:start + config.batch_size]
-            if take.size < 2:
-                continue
-            *losses, bad = train_step(model, opt, th_train[take], x_train[take],
-                                      reg, config.clip_norm, (rng_neg, rng_reg),
-                                      problem.prior, epoch, n_batches)
-            sums += losses
-            degenerate += bad
-            rows += take.size
-            n_batches += 1
-        report.base_loss.append(sums[0] / n_batches)
-        report.reg_loss.append(sums[1] / n_batches)
-        report.total_loss.append(sums[2] / n_batches)
-        report.grad_norm.append(sums[3] / n_batches)
-        frac = degenerate / rows
-        report.degenerate_frac.append(frac)
-        if frac > 0.5:
-            warnings.warn(f"epoch {epoch}: degenerate importance weights on "
-                          f"{frac:.0%} of the batch", RuntimeWarning)
-        if th_val.shape[0] >= 2:
-            with ad.no_grad():
-                vloss = float(base_loss(model, th_val, x_val,
-                                        np.random.default_rng(0))[0].data[0])
-            report.val_loss.append(vloss)
-            if vloss < best_val:
-                best_val = vloss
-                report.best_epoch = epoch
+    with ad.workspace():
+        for epoch in range(config.epochs):
+            order = rng_shuffle.permutation(n_train)
+            sums = np.zeros(4)
+            degenerate = 0
+            rows = 0
+            n_batches = 0
+            for start in range(0, n_train, config.batch_size):
+                take = order[start:start + config.batch_size]
+                if take.size < 2:
+                    continue
+                *losses, bad = train_step(model, opt, th_train[take], x_train[take],
+                                          reg, config.clip_norm, (rng_neg, rng_reg),
+                                          problem.prior, epoch, n_batches)
+                sums += losses
+                degenerate += bad
+                rows += take.size
+                n_batches += 1
+            report.base_loss.append(sums[0] / n_batches)
+            report.reg_loss.append(sums[1] / n_batches)
+            report.total_loss.append(sums[2] / n_batches)
+            report.grad_norm.append(sums[3] / n_batches)
+            frac = degenerate / rows
+            report.degenerate_frac.append(frac)
+            if frac > 0.5:
+                warnings.warn(f"epoch {epoch}: degenerate importance weights on "
+                              f"{frac:.0%} of the batch", RuntimeWarning)
+            if th_val.shape[0] >= 2:
+                with ad.no_grad():
+                    vloss = float(base_loss(model, th_val, x_val,
+                                            np.random.default_rng(0))[0].data[0])
+                report.val_loss.append(vloss)
+                if vloss < best_val:
+                    best_val = vloss
+                    report.best_epoch = epoch
+                    best_params = {k: v.data.copy() for k, v in model.parameters().items()}
+            else:
+                report.val_loss.append(np.nan)
                 best_params = {k: v.data.copy() for k, v in model.parameters().items()}
-        else:
-            report.val_loss.append(np.nan)
-            best_params = {k: v.data.copy() for k, v in model.parameters().items()}
 
     result = TrainResult(model=model, report=report, config=config,
                          best_params=best_params)
@@ -414,39 +414,3 @@ def load_checkpoint(path):
     r.finish()
     return model, blob
 
-
-# -- overhead measurement -----------------------------------------------------
-
-
-def measure_step_overhead(config, dataset, sample_counts=(1, 4, 16, 64),
-                          steps=40, repeats=5, problem=None):
-    """Wall time of one regularized training step per proposal sample count.
-
-    Fresh model per count and repeat, a few warmup steps, then `steps` timed
-    steps; the minimum over `repeats` windows is reported (the low-noise
-    timing estimator). Repeats run round-robin over the counts, so a drift
-    in machine speed lands on every count alike. Returns a list of
-    (count, seconds_per_step) in the order of `sample_counts`.
-    """
-    if problem is None:
-        problem = problem_for_dataset(dataset)
-    timings = [[] for _ in sample_counts]
-    for rep in range(repeats):
-        for count, times in zip(sample_counts, timings):
-            ss = np.random.SeedSequence((config.seed, count, rep))
-            rng_init, rng_reg, rng_neg = [np.random.default_rng(c) for c in ss.spawn(3)]
-            model = build_model(config.method, problem.prior, dataset.dim_x,
-                                config.arch(), rng=rng_init)
-            opt = _optimizer(config, model)
-            reg = replace(config.reg or covreg.RegConfig(), num_samples=count)
-            step = (model, opt, dataset.thetas[:config.batch_size],
-                    dataset.xs[:config.batch_size], reg, config.clip_norm,
-                    (rng_neg, rng_reg), problem.prior)
-            for _ in range(3):
-                train_step(*step)
-            start = time.perf_counter()
-            for _ in range(steps):
-                train_step(*step)
-            times.append((time.perf_counter() - start) / steps)
-    return [(count, float(np.min(times)))
-            for count, times in zip(sample_counts, timings)]

@@ -21,9 +21,10 @@ from calsbi.diagnostics import (conservativeness_error, coverage_auc,
                                 mixture_demo, rank_statistic_sample)
 from calsbi.estimators import NpeFlow, PriorPosterior, build_model
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
-from calsbi.trainer import TrainConfig, measure_step_overhead, train
+from calsbi.trainer import TrainConfig, train
 
 from conftest import assert_close_rel, finite_difference
+from step_overhead import measure_step_overhead
 from surrogate_twin import RegularizerTwin, rank_statistic_quotient
 
 LEVELS = np.linspace(0.05, 0.95, 19)

@@ -294,12 +294,12 @@ def pooled_ops(x, w, b, col):
     z = dense(h, w, b)
     e = (z * 0.5).tanh() + (-z).exp() / (z.square() + 1.0) - col
     s = e.sum(axis=1, keepdims=True)
-    c = concat([e, repeat_rows(s, 1), repeat_rows(col[:20], 2)], axis=1)
+    c = concat([e, repeat_rows(s, 1), repeat_rows(col[:col.shape[0] // 2], 2)], axis=1)
     return [h, z, e, s, c, c.sum(axis=0, keepdims=True)]
 
 
 def test_a_held_result_is_never_handed_out_again(rng):
-    x = Value(rng.standard_normal((64, 4)))
+    x = Value(rng.standard_normal((1024, 8)))   # above the pool's size rule
     with ad.no_grad(), ad.workspace() as pool:
         kept = (x * 2.0).exp()                      # held as a Value
         copies = [kept.data.copy()]
@@ -315,17 +315,17 @@ def test_a_held_result_is_never_handed_out_again(rng):
         for held, copy in zip((kept.data, view, name), copies):
             np.testing.assert_array_equal(held, copy)
         # released results are handed out again: the pool stops growing
-        size = len(pool[(64, 4)])
+        size = len(pool[(1024, 8)])
         for _ in range(3):
             out = ((x * 3.0).tanh() + x).exp()
-        assert len(pool[(64, 4)]) == size
+        assert len(pool[(1024, 8)]) == size
 
 
 def test_ops_inside_and_outside_a_workspace_give_bit_identical_data(rng):
-    x = Value(rng.standard_normal((40, 3)))
+    x = Value(rng.standard_normal((2048, 3)))   # (2048, 3) is above the size rule
     w = Value(rng.standard_normal((3, 3)))
     b = Value(rng.standard_normal((1, 3)))
-    col = Value(rng.standard_normal((40, 1)))
+    col = Value(rng.standard_normal((2048, 1)))
     with ad.no_grad():
         plain = [v.data.copy() for v in pooled_ops(x, w, b, col)]
         with ad.workspace() as pool:
@@ -352,6 +352,38 @@ def test_grad_inside_a_workspace_pools_nothing_and_keeps_gradients(rng):
     assert pool == {}
     for v, g in zip((w, b, col), grads):
         np.testing.assert_array_equal(v.grad, g)
+
+
+def test_with_grad_a_result_held_past_its_step_is_never_handed_out_again(rng):
+    x = Value(rng.standard_normal((2048, 3)))
+    w = Value(rng.standard_normal((3, 3)), requires_grad=True)
+    b = Value(rng.standard_normal((1, 3)), requires_grad=True)
+    col = Value(rng.standard_normal((2048, 1)), requires_grad=True)
+
+    def step():
+        for v in (w, b, col):
+            v.grad = None
+        out = pooled_ops(x, w, b, col)
+        out[-1].sum().backward()
+        return out, [v.grad for v in (w, b, col)]
+
+    def owners(arrays):
+        return {id(a) for a in arrays} | {id(a.base) for a in arrays if a.base is not None}
+
+    _, want = step()
+    with ad.workspace() as pool:
+        held, _ = step()                  # results and their graph, kept past the step
+        bare = step()[0][2].data          # a result whose graph is gone
+        copies = [v.data.copy() for v in held] + [bare.copy()]
+        taken = owners([v.data for v in held] + [bare])
+        for _ in range(3):
+            out, grads = step()
+            assert not taken & owners([v.data for v in out])
+            for got, g in zip(grads, want):
+                np.testing.assert_array_equal(got, g)
+        for held_data, copy in zip([v.data for v in held] + [bare], copies):
+            np.testing.assert_array_equal(held_data, copy)
+    assert (2048, 3) in pool
 
 
 def test_straight_through_forwards_hard_and_backwards_soft(rng):

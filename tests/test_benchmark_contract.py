@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from calsbi import cli, covreg, diagnostics, problems, trainer
+from calsbi import autodiff, cli, covreg, diagnostics, problems, trainer
 from calsbi.estimators import NpeFlow
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
@@ -107,6 +107,21 @@ def test_traced_regularized_npe_step_records_one_density_span():
     counts = spans.summarize(rec, "trainer.train")["counts"]
     assert (counts["embed_calls_in_steps"], counts["rank_calls"]) == (1, 1)
     assert counts["train_pairs"] == 16
+
+
+def test_traced_training_tells_validation_from_steps_by_the_grad_flag():
+    # spans.py reads autodiff._grad_enabled with a default of True: were the
+    # flag renamed, every validation pass would count as a training step
+    assert autodiff._grad_enabled is True
+    with autodiff.no_grad():
+        assert autodiff._grad_enabled is False
+    ds = simulate_dataset("gaussian-linear", 20, seed=0)     # 18 train, 2 validation
+    config = trainer.TrainConfig(method="nre", epochs=2, batch_size=8, hidden=4,
+                                 embed_dim=2)
+    rec = spans.Recorder()
+    with _installed(rec):
+        trainer.train(config, ds)
+    assert (rec.names.count("trainer.step"), rec.names.count("trainer.validation")) == (6, 2)
 
 
 def test_traced_oracle_grid_audit_counts_pairs_times_cells_density_rows():

@@ -208,10 +208,11 @@ def test_eval_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
     (["--lr", "inf"], "lr=inf"),
     (["--weight-decay", "nan"], "weight_decay=nan"),
     (["--weight-decay", "inf"], "weight_decay=inf"),
-    (["--clip", "nan"], "max_norm must be positive, got nan"),
+    (["--clip", "nan"], "clip_norm must be positive, got nan"),
+    (["--clip", "0"], "clip_norm must be positive, got 0.0"),
 ], ids=["lambda-nan", "lambda-inf", "lambda-negative", "ste-temperature-nan",
         "sort-relaxation-nan", "lr-nan", "lr-inf", "weight-decay-nan",
-        "weight-decay-inf", "clip-nan"])
+        "weight-decay-inf", "clip-nan", "clip-0"])
 def test_train_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
                                                     flags, message):
     out = tmp_path / "t"

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -6,17 +7,18 @@ import struct
 import numpy as np
 import pytest
 
+from calsbi import autodiff as ad
 from calsbi import covreg, trainer
 from calsbi.autodiff import Value
 from calsbi.estimators import NpeFlow, NreModel, Prior, build_model
 from calsbi.optim import AdamW
 from calsbi.problems import get_problem, simulate_dataset
 from calsbi.trainer import (TrainAbort, TrainConfig, derangement,
-                            load_checkpoint, measure_step_overhead,
-                            nre_base_loss, npe_base_loss, save_checkpoint,
-                            train)
+                            load_checkpoint, nre_base_loss, npe_base_loss,
+                            save_checkpoint, train)
 
 from conftest import RowCounter
+from step_overhead import measure_step_overhead
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,15 @@ def test_training_split_under_two_pairs_rejected_before_the_model_is_built(
     monkeypatch.setattr(trainer, "build_model", None)
     with pytest.raises(ValueError, match=f"training split holds {n_train} pairs"):
         train(small_config(batch_size=2, validation_fraction=fraction), ds)
+
+
+@pytest.mark.parametrize("clip", [0.0, -1.0, math.nan])
+def test_clip_norm_not_above_zero_rejected_before_the_model_is_built(
+        gl_dataset, monkeypatch, clip):
+    monkeypatch.setattr(trainer, "build_model", None)
+    with pytest.raises(ValueError, match="clip_norm must be positive"):
+        train(dataclasses.replace(small_config(), clip_norm=clip), gl_dataset)
+    assert small_config(clip_norm=math.inf).clip_norm == math.inf
 
 
 def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
@@ -324,6 +335,68 @@ def test_train_and_overhead_probe_run_the_same_step(gl_dataset, monkeypatch):
     measure_step_overhead(small_config(batch_size=32, reg=direct), gl_dataset,
                           sample_counts=(3,), steps=1, repeats=1)
     assert calls == [dataclasses.replace(direct, num_samples=3)] * 4
+
+
+# -- array pool ---------------------------------------------------------------------
+
+
+def recorded_pools(monkeypatch):
+    """Wrap `ad.workspace` so each pool it yields is appended to the list returned."""
+    pools, workspace = [], ad.workspace
+
+    @contextlib.contextmanager
+    def recorded_workspace():
+        with workspace() as pool:
+            pools.append(pool)
+            yield pool
+
+    monkeypatch.setattr(ad, "workspace", recorded_workspace)
+    return pools
+
+
+POOL_RECIPES = {"npe-conservative": ("npe", "conservative"), "nre-plain": ("nre", None),
+                "nre-regularized": ("nre", "conservative")}
+
+
+@pytest.mark.parametrize("recipe", list(POOL_RECIPES))
+def test_training_is_bit_identical_with_and_without_the_pool(gl_dataset, monkeypatch,
+                                                             recipe):
+    method, mode = POOL_RECIPES[recipe]
+    reg = None if mode is None else covreg.RegConfig(mode=mode, num_samples=16)
+    # batch 128 at width 16 puts the head's (256, 16) input above the size rule
+    config = small_config(method=method, batch_size=128, reg=reg)
+    pools = recorded_pools(monkeypatch)
+    pooled = train(config, gl_dataset)
+    assert len(pools) == 1 and pools[0]
+    # a dict that is not the pool: every op allocates
+    monkeypatch.setattr(ad, "workspace", lambda: contextlib.nullcontext({}))
+    plain = train(config, gl_dataset)
+    assert pooled.report == plain.report
+    for name, value in plain.model.parameters().items():
+        np.testing.assert_array_equal(pooled.model.parameters()[name].data, value.data)
+        np.testing.assert_array_equal(pooled.best_params[name], plain.best_params[name])
+
+
+def test_the_training_pool_stops_growing_after_the_second_full_batch(monkeypatch):
+    # 450 training pairs: three full batches of 128 and a short one of 66;
+    # the 150 validation pairs at width 32 are above the size rule too
+    ds = simulate_dataset("gaussian-linear", 600, seed=5)
+    config = small_config(batch_size=128, hidden=32, validation_fraction=0.25,
+                          reg=covreg.RegConfig(num_samples=16))
+    pools, sizes = recorded_pools(monkeypatch), []
+    real_step = trainer.train_step
+
+    def recorded_step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        sizes.append(sum(len(arrays) for arrays in pools[-1].values()))
+        return out
+
+    monkeypatch.setattr(trainer, "train_step", recorded_step)
+    train(config, ds)
+    assert len(pools) == 1 and len(sizes) == 12 and sizes[0] > 0
+    # the short batch and the validation pass add their shapes in epoch 0 only
+    assert sizes[2] == sizes[1] and sizes[3] > sizes[2]
+    assert sizes[4] > sizes[3] and sizes[5:] == [sizes[4]] * 7
 
 
 # -- checkpointing -----------------------------------------------------------------
