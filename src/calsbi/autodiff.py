@@ -9,12 +9,15 @@ matmul, bias and SELU into one node.
 Inside a `workspace()`, the forward ops and the backward closures write
 results of `_POOL_MIN_SIZE` elements or more into pooled arrays, with grad
 on or off, so row-block loops and training steps stop allocating after the
-first.
+first. The pool belongs to the thread that opened the workspace, so threads
+that evaluate at once each reuse only their own arrays. The grad flag is one
+module global shared by all threads.
 """
 
 import contextlib
 import math
 import sys
+import threading
 
 import numpy as np
 
@@ -29,12 +32,24 @@ class ShapeError(ValueError):
 
 _grad_enabled = True
 _pass_grads = None
-_pool = None
+
+
+class _PerThread(threading.local):
+    pool = None                 # the innermost workspace's pool, per thread
+
+
+_local = _PerThread()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (evaluation fast path)."""
+    """Disable graph recording inside the block (evaluation fast path).
+
+    The flag is one module global, not a per-thread one: threads started
+    inside the block see grad off, and a nested block in one of them saves
+    and restores False. Only the outermost block may turn grad back on, so
+    it must outlive every thread that evaluates under it.
+    """
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -57,15 +72,16 @@ def workspace():
     overwritten and need no copy, and a loop over row blocks or training
     batches of one shape allocates only in its first pass. Shapes of fewer
     than `_POOL_MIN_SIZE` elements allocate as they do outside. Yields the
-    pool, a dict shape -> arrays, which is dropped on exit.
+    pool, a dict shape -> arrays, which is dropped on exit. The pool is the
+    calling thread's: ops that other threads run meanwhile use their own
+    workspace, or none.
     """
-    global _pool
-    prev = _pool
-    _pool = {}
+    prev = _local.pool
+    _local.pool = pool = {}
     try:
-        yield _pool
+        yield pool
     finally:
-        _pool = prev
+        _local.pool = prev
 
 
 def _first_free(arrays, refs):
@@ -92,14 +108,15 @@ _POOL_MIN_SIZE = 4096
 def _buffer(shape):
     """A pooled float64 array of `shape` for an op's result, or None.
 
-    None (the op allocates) outside a `workspace()` and for shapes of fewer
-    than `_POOL_MIN_SIZE` elements.
+    None (the op allocates) outside this thread's `workspace()` and for
+    shapes of fewer than `_POOL_MIN_SIZE` elements.
     """
-    if _pool is None or math.prod(shape) < _POOL_MIN_SIZE:
+    pool = _local.pool
+    if pool is None or math.prod(shape) < _POOL_MIN_SIZE:
         return None
-    arrays = _pool.get(shape)
+    arrays = pool.get(shape)
     if arrays is None:
-        arrays = _pool[shape] = []
+        arrays = pool[shape] = []
     arr = _first_free(arrays, _FREE_REFS)
     if arr is None:
         arr = np.empty(shape)
@@ -238,7 +255,7 @@ class Value:
     def _elementwise(op, a, b, fn):
         x, y = a.data, b.data
         try:
-            if _pool is None:
+            if _local.pool is None:
                 return fn(x, y)
             return fn(x, y, out=_buffer(_broadcast_shape(x.shape, y.shape)))
         except ValueError as exc:

@@ -9,6 +9,8 @@ fresh RNG streams.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +72,35 @@ class MixtureDemoReport:
     self_test: bool = field(default=False)
 
 
+# Most threads a rank audit runs. Part of an audit stays serial: the draws,
+# taken under one lock, and the Python work that holds the GIL. On 2 vCPUs, 2
+# workers ran the rank phase of 2,048 trained-flow pairs at L=1024 about 1.5
+# times as fast as one, a serial share near a third, so by Amdahl's law 4
+# workers reach about 2x, and every worker adds a pool. Only 1 and 2 workers
+# could be measured.
+_MAX_RANK_WORKERS = 4
+
+
+def _rank_workers(chunks):
+    """Threads for a rank audit of `chunks` chunks, the calling one included."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks, _MAX_RANK_WORKERS)
+
+
+def _check_pairs(thetas, xs, chunk):
+    """ValueError for an empty test set, unequal lengths or a chunk below 1."""
+    if thetas.shape[0] == 0:
+        raise ValueError("empty test set")
+    if xs.shape[0] != thetas.shape[0]:
+        raise ValueError(f"{thetas.shape[0]} parameters but {xs.shape[0]} "
+                         f"observations; a test pair needs one of each")
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be >= 1 pair, got {chunk}")
+
+
 def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
                           chunk=None):
     """Hard-indicator rank statistics for every test pair, chunk-vectorized.
@@ -77,27 +108,79 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
     `proposal` is a `covreg.DensityProposal`, e.g. `PriorProposal(prior)`.
     The chunk of pairs per slice defaults to one row block of density rows
     (`estimators.ROW_BLOCK`, L + 1 rows a pair), so eval memory does not
-    grow with the number of pairs. The chunks run in one
-    `autodiff.workspace`, so their ops reuse one set of arrays instead of
-    allocating and faulting in fresh ones every chunk; the pool is emptied
+    grow with the number of pairs.
+
+    The chunks run on `_rank_workers` threads, the calling one among them.
+    Under one lock a worker claims the next chunk and draws its proposals,
+    so `rng` is consumed in chunk order, however many workers there are.
+    Outside the lock it evaluates the chunk (numpy releases the GIL there)
+    and writes its slice of the result, so the statistics are the same bit
+    for bit at any worker count. Each worker runs in its own
+    `autodiff.workspace`, so its chunks reuse one set of arrays instead of
+    allocating and faulting in fresh ones every chunk; it empties its pool
     before a short last chunk. At L=1024 the slices of a trained width-8
-    flow peak at about 3.5 MB of traced numpy memory, the pool included.
+    flow peak at about 3.5 MB of traced numpy memory per worker, its pool
+    included. An error in any worker stops new chunks and is raised here
+    once every helper thread has been joined.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    if thetas.shape[0] == 0:
-        raise ValueError("empty test set")
+    _check_pairs(thetas, xs, chunk)
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    n = thetas.shape[0]
     if chunk is None:
         chunk = max(1, estimators.ROW_BLOCK // (num_samples + 1))
-    out = np.empty(thetas.shape[0])
-    with ad.no_grad(), ad.workspace() as pool:
-        for lo in range(0, thetas.shape[0], chunk):
-            hi = min(lo + chunk, thetas.shape[0])
+    model = covreg._graph_surface(posterior)
+    out = np.empty(n)
+    starts = range(0, n, chunk)
+    cursor = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def run_chunk(pool):
+        """Claim the next chunk and write its statistics; False if none is left."""
+        with lock:
+            lo = None if errors else next(cursor, None)
+            if lo is None:
+                return False
+            hi = min(lo + chunk, n)
             if hi - lo < chunk:
                 pool.clear()        # no later chunk has the full chunk's shapes
-            batch = covreg.rank_statistics(posterior, thetas[lo:hi], xs[lo:hi],
-                                           num_samples, proposal, rng)
-            out[lo:hi] = batch.values.data[:, 0]
+            draws = proposal.sample_batch(xs[lo:hi], rng, num_samples)
+        t, x = thetas[lo:hi], xs[lo:hi]
+        lp = covreg.stacked_log_density(model, model.embed_graph(ad.Value(x)), t, draws)
+        batch = covreg.rank_statistics(posterior, t, x, num_samples, proposal, None,
+                                       block=(draws, lp))
+        out[lo:hi] = batch.values.data[:, 0]
+        return True     # the chunk's arrays are released here, before the next
+
+    def work():
+        try:
+            with ad.workspace() as pool:
+                while run_chunk(pool):
+                    pass
+        except BaseException as exc:        # KeyboardInterrupt in the caller too
+            errors.append(exc)
+
+    helpers = []
+    # The grad flag is one global: this block keeps it False until every
+    # helper has been joined, so a nested no_grad in a worker (the flow's
+    # draws, DensityProposal.log_density_rows) only saves and restores False.
+    with ad.no_grad():
+        try:
+            for _ in range(_rank_workers(len(starts)) - 1):
+                thread = threading.Thread(target=work, daemon=True)
+                thread.start()
+                helpers.append(thread)
+            work()
+        except BaseException as exc:        # a helper that could not start
+            errors.append(exc)
+        finally:
+            for thread in helpers:
+                thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -138,8 +221,7 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    if thetas.shape[0] == 0:
-        raise ValueError("empty test set")
+    _check_pairs(thetas, xs, chunk)
     require_grid_dim(thetas.shape[1])
     levels = np.asarray(levels, dtype=np.float64)
     layout = grid_layout(problem, resolution)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ class RowCounter:
     """
 
     def __init__(self, model):
+        self._lock = threading.Lock()   # the rank audit calls from several threads
         self.reset()
         for kind, attr in (("embed", "embed_graph"), ("density", "log_density_graph"),
                            ("head", "logit_graph")):
@@ -50,8 +53,9 @@ class RowCounter:
 
     def _counted(self, kind, fn):
         def counted(value, *rest):
-            vars(self)[f"{kind}_calls"] += 1
-            vars(self)[f"{kind}_rows"] += value.data.shape[0]
+            with self._lock:
+                vars(self)[f"{kind}_calls"] += 1
+                vars(self)[f"{kind}_rows"] += value.data.shape[0]
             return fn(value, *rest)
         return counted
 

@@ -1,3 +1,6 @@
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -352,6 +355,29 @@ def test_grad_inside_a_workspace_pools_nothing_and_keeps_gradients(rng):
     assert pool == {}
     for v, g in zip((w, b, col), grads):
         np.testing.assert_array_equal(v.grad, g)
+
+
+def test_a_workspace_pools_nothing_for_ops_run_in_another_thread(rng):
+    x = Value(rng.standard_normal((64, 128)))       # 8,192 elements: pooled
+    results = {}
+
+    def other(name, own_workspace):
+        with ad.workspace() if own_workspace else contextlib.nullcontext({}) as pool:
+            results[name] = (x + x).data, pool
+
+    with ad.workspace() as pool:
+        for name, own in (("bare", False), ("own", True)):
+            thread = threading.Thread(target=other, args=(name, own))
+            thread.start()
+            thread.join()
+        assert pool == {}
+        mine = (x + x).data
+        assert [len(v) for v in pool.values()] == [1] and pool[(64, 128)][0] is mine
+    assert results["bare"][1] == {}
+    assert results["own"][1][(64, 128)][0] is results["own"][0]
+    for got, _ in results.values():
+        np.testing.assert_array_equal(got, mine)
+        assert got is not mine
 
 
 def test_with_grad_a_result_held_past_its_step_is_never_handed_out_again(rng):

@@ -152,9 +152,12 @@ def test_traced_flow_grid_audit_embeds_each_observation_once():
     assert (counts["grid_embed_rows"], counts["grid_pairs"]) == (3, 3)
 
 
-def test_traced_pooled_rank_audit_counts_its_rows_and_keeps_the_flow_grid_pass():
+def test_traced_pooled_rank_audit_counts_its_rows_and_keeps_the_flow_grid_pass(
+        monkeypatch):
     # the rank path runs in an array pool; the spans still read every chunk's
-    # pairs and density rows, and NpeFlow's own grid pass survives uninstall
+    # pairs and density rows, and NpeFlow's own grid pass survives uninstall.
+    # One worker: the recorder keeps one span stack for all threads.
+    monkeypatch.setattr(diagnostics, "_rank_workers", lambda chunks: 1)
     problem = get_problem("nonlinear-2d")
     ds = simulate_dataset(problem, 10, seed=0)
     flow = NpeFlow(problem.dim_theta, problem.dim_x, last_scale=0.5)

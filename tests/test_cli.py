@@ -1,9 +1,11 @@
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 
+from calsbi import covreg, diagnostics
 from calsbi.cli import main
 from calsbi.problems import Dataset, get_problem, load_dataset, simulate_dataset
 
@@ -125,6 +127,29 @@ def test_eval_trained_checkpoint(run_dir, data_file, tmp_path):
     assert code == 0
     metrics = (out / "metrics.csv").read_text()
     assert "expected_log_posterior" in metrics
+
+
+def test_eval_numeric_failure_in_a_rank_worker_thread_exits_three(
+        data_file, tmp_path, capsys, monkeypatch):
+    caller, real = threading.get_ident(), covreg.rank_statistics
+    failed = threading.Event()
+
+    def rank_statistics(*args, **kwargs):
+        if threading.get_ident() == caller:
+            failed.wait(10)         # the caller's chunk waits for the helper's
+            return real(*args, **kwargs)
+        failed.set()
+        raise FloatingPointError("overflow in a helper")
+
+    # 256 pairs at L=64 are 3 chunks of 126 pairs or fewer
+    monkeypatch.setattr(diagnostics, "_rank_workers", lambda chunks: 2)
+    monkeypatch.setattr(covreg, "rank_statistics", rank_statistics)
+    out = tmp_path / "eval"
+    code = run(["eval", "--oracle", "--data", data_file, "--ecp", "rank",
+                "--L", "64", "--out-dir", str(out)])
+    assert code == 3
+    assert "numeric failure: overflow in a helper" in capsys.readouterr().err
+    assert not (out / "coverage.csv").exists()
 
 
 def test_eval_missing_checkpoint_exits_two(data_file, tmp_path):

@@ -1,12 +1,16 @@
 import contextlib
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from calsbi import autodiff as ad
-from calsbi import covreg, estimators
+from calsbi import covreg, diagnostics, estimators
 from calsbi.diagnostics import (DEFAULT_EVAL_LEVELS, CoverageCurve,
                                 calibration_error, conservativeness_error,
                                 coverage_auc, curve_from_rank_statistics,
@@ -356,47 +360,284 @@ def test_rank_audit_runs_the_model_once_per_chunk(method):
     assert (counter.density_calls, counter.density_rows) == (3, 10 * 65)
 
 
+def pin_workers(monkeypatch, count):
+    """Run every rank audit of the test on `count` threads."""
+    monkeypatch.setattr(diagnostics, "_rank_workers", lambda chunks: count)
+
+
 def test_the_rank_pool_stops_growing_after_the_second_chunk(nonlinear_models,
                                                             monkeypatch):
     problem = get_problem("nonlinear-2d")
-    ds = simulate_dataset(problem, 24, seed=45)
-    pools, sizes = [], []
+    ds = simulate_dataset(problem, 48, seed=45)
+    pools, sizes = {}, {}           # by thread: its pool, its size after each chunk
     workspace, rank_statistics = ad.workspace, covreg.rank_statistics
 
     @contextlib.contextmanager
     def recorded_workspace():
         with workspace() as pool:
-            pools.append(pool)
+            pools[threading.get_ident()] = pool
             yield pool
 
     def recorded_rank_statistics(*args, **kwargs):
         batch = rank_statistics(*args, **kwargs)
-        sizes.append(sum(len(arrays) for arrays in pools[-1].values()))
+        pool = pools[threading.get_ident()]
+        sizes.setdefault(threading.get_ident(), []).append(
+            sum(len(arrays) for arrays in pool.values()))
         return batch
 
+    pin_workers(monkeypatch, 2)
     monkeypatch.setattr(ad, "workspace", recorded_workspace)
     monkeypatch.setattr(covreg, "rank_statistics", recorded_rank_statistics)
     rank_statistic_sample(nonlinear_models["npe"], ds.thetas, ds.xs, 256,
                           covreg.PriorProposal(problem.prior),
                           np.random.default_rng(9), chunk=4)
-    assert len(pools) == 1 and len(sizes) == 6 and sizes[0] > 0
-    assert sizes[2:] == [sizes[1]] * 4
+    # one pool per thread, and 12 chunks between them
+    assert len(pools) == 2 and sum(map(len, sizes.values())) == 12
+    for grown in sizes.values():
+        assert grown[0] > 0 and grown[2:] == [grown[1]] * (len(grown) - 2)
 
 
-def test_rank_audit_of_a_flow_at_l_1024_has_a_bounded_peak(nonlinear_models):
+def rank_audit_peak(model, count, workers, monkeypatch):
+    """Traced peak of a prior-proposal rank audit of `count` pairs at L=1024."""
     problem = get_problem("nonlinear-2d")
-    ds = simulate_dataset(problem, 132, seed=46)       # 18 chunks of 7, one of 6
+    ds = simulate_dataset(problem, count, seed=46)
     proposal = covreg.PriorProposal(problem.prior)
+    pin_workers(monkeypatch, workers)
     tracemalloc.start()
     try:
-        rank_statistic_sample(nonlinear_models["npe"], ds.thetas, ds.xs, 1024,
-                              proposal, np.random.default_rng(10))
-        _, peak = tracemalloc.get_traced_memory()
+        rank_statistic_sample(model, ds.thetas, ds.xs, 1024, proposal,
+                              np.random.default_rng(10))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_rank_audit_of_a_flow_at_l_1024_has_a_bounded_peak(nonlinear_models,
+                                                           monkeypatch):
+    # 18 chunks of 7 pairs, one of 6, on one thread
+    peak = rank_audit_peak(nonlinear_models["npe"], 132, 1, monkeypatch)
     # the pool of one 7-pair chunk and its draws hold about 4.7 MB; one pass
     # over all 135,300 density rows would hold 17 MB per hidden layer
     assert peak < 8 * 2 ** 20
+
+
+def test_two_worker_rank_audit_peak_is_bounded_and_flat_in_the_pairs(
+        nonlinear_models, monkeypatch):
+    # two pools of one chunk each: about 9.5 MB at 132 pairs and at 396
+    peaks = [rank_audit_peak(nonlinear_models["npe"], count, 2, monkeypatch)
+             for count in (132, 396)]
+    assert max(peaks) < 2 * 8 * 2 ** 20
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def rank_case(nonlinear_models, which):
+    """(problem, posterior, proposal) of a rank audit case by name."""
+    problem = get_problem("gaussian-linear" if which == "oracle" else "nonlinear-2d")
+    if which.endswith("oracle"):
+        return problem, oracle_posterior(problem), covreg.PriorProposal(problem.prior)
+    if which == "flow-proposal":
+        flow = nonlinear_models["npe"]
+        return problem, flow, covreg.DensityProposal(flow)
+    return problem, nonlinear_models[which], covreg.PriorProposal(problem.prior)
+
+
+@pytest.mark.parametrize("which", ["npe", "nre", "oracle", "nonlinear-2d-oracle",
+                                   "flow-proposal"])
+@pytest.mark.parametrize("count", [30, 5])
+def test_rank_statistics_and_the_rng_do_not_depend_on_the_worker_count(
+        nonlinear_models, monkeypatch, which, count):
+    # chunks of 4: 30 pairs end in a short chunk of 2, 5 pairs are 2 chunks
+    # for up to 3 workers
+    problem, posterior, proposal = rank_case(nonlinear_models, which)
+    ds = simulate_dataset(problem, count, seed=48)
+    runs = []
+    for workers in (1, 2, 3):
+        pin_workers(monkeypatch, workers)
+        rng = np.random.default_rng(12)
+        alphas = rank_statistic_sample(posterior, ds.thetas, ds.xs, 128, proposal,
+                                       rng, chunk=4)
+        runs.append((alphas, rng.random()))
+    for alphas, next_draw in runs[1:]:
+        np.testing.assert_array_equal(alphas, runs[0][0])
+        assert next_draw == runs[0][1]
+
+
+class YieldingProposal(covreg.PriorProposal):
+    """The prior proposal, handing the GIL to another thread before each draw."""
+
+    def sample_batch(self, xs, rng, count):
+        time.sleep(1e-4)
+        return super().sample_batch(xs, rng, count)
+
+
+def test_more_workers_than_cores_switching_often_draw_in_chunk_order(monkeypatch):
+    # a chunk claimed twice would read the rng twice, one skipped would leave
+    # its slice unwritten, and draws taken out of chunk order would move them
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 96, seed=54)
+    posterior, proposal = analytic_posterior(problem), YieldingProposal(problem.prior)
+
+    def audit(workers):
+        pin_workers(monkeypatch, workers)
+        rng = np.random.default_rng(18)
+        alphas = rank_statistic_sample(posterior, ds.thetas, ds.xs, 16, proposal, rng,
+                                       chunk=1)
+        return alphas, rng.random()
+
+    want = audit(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [audit(5) for _ in range(3)]       # 5 threads for 96 chunks
+    finally:
+        sys.setswitchinterval(interval)
+    for alphas, next_draw in got:
+        np.testing.assert_array_equal(alphas, want[0])
+        assert next_draw == want[1]
+
+
+def counted_threads(monkeypatch):
+    """Record every thread started while the test runs; returns the list."""
+    started, real = [], threading.Thread
+
+    class Counted(real):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+def test_the_worker_count_is_usable_cpus_chunks_and_a_cap_of_four(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    assert [diagnostics._rank_workers(c) for c in (1, 3, 100)] == [1, 3, 4]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert diagnostics._rank_workers(100) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert diagnostics._rank_workers(100) == 2
+
+
+def test_one_chunk_or_one_cpu_starts_no_thread_and_the_count_starts_the_rest(
+        monkeypatch):
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 12, seed=49)
+    posterior, proposal = analytic_posterior(problem), covreg.PriorProposal(problem.prior)
+    started = counted_threads(monkeypatch)
+
+    def audit(chunk):
+        rank_statistic_sample(posterior, ds.thetas, ds.xs, 32, proposal,
+                              np.random.default_rng(13), chunk=chunk)
+
+    audit(12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    audit(2)
+    assert started == []
+    pin_workers(monkeypatch, 3)
+    audit(2)
+    assert len(started) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_error_in_a_worker_is_raised_and_no_thread_outlives_the_audit(
+        monkeypatch, workers):
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 20, seed=50)
+    calls, lock, real = [], threading.Lock(), covreg.rank_statistics
+
+    def failing(*args, **kwargs):
+        with lock:
+            calls.append(threading.get_ident())
+            third = len(calls) == 3
+        if third:
+            raise FloatingPointError("overflow in the third chunk")
+        return real(*args, **kwargs)
+
+    pin_workers(monkeypatch, workers)
+    monkeypatch.setattr(covreg, "rank_statistics", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="overflow in the third chunk"):
+        rank_statistic_sample(analytic_posterior(problem), ds.thetas, ds.xs, 32,
+                              covreg.PriorProposal(problem.prior),
+                              np.random.default_rng(14), chunk=2)
+    assert threading.active_count() == before
+    # of the 10 chunks, only those claimed before the error was seen ran
+    assert 3 <= len(calls) <= 3 + workers - 1
+
+
+def test_an_interrupt_in_the_caller_joins_every_helper(monkeypatch):
+    problem = get_problem("gaussian-linear")
+    ds = simulate_dataset(problem, 20, seed=51)
+    caller, real = threading.get_ident(), covreg.rank_statistics
+    interrupt = threading.Event()
+
+    def interrupted(*args, **kwargs):
+        if threading.get_ident() == caller:
+            interrupt.set()
+            raise KeyboardInterrupt
+        interrupt.wait(10)      # the helper holds its chunk until the caller has one
+        return real(*args, **kwargs)
+
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(covreg, "rank_statistics", interrupted)
+    started = counted_threads(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        rank_statistic_sample(analytic_posterior(problem), ds.thetas, ds.xs, 32,
+                              covreg.PriorProposal(problem.prior),
+                              np.random.default_rng(15), chunk=2)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_the_rank_audit_runs_with_grad_off_and_restores_it(nonlinear_models,
+                                                           monkeypatch):
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 24, seed=52)
+    flow = nonlinear_models["npe"]
+    seen, real = [], covreg.rank_statistics
+
+    def recorded(*args, **kwargs):
+        seen.append(ad._grad_enabled)
+        return real(*args, **kwargs)
+
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(covreg, "rank_statistics", recorded)
+    assert ad._grad_enabled is True
+    # the flow proposal's draws and densities open nested no_grad blocks
+    rank_statistic_sample(flow, ds.thetas, ds.xs, 64, covreg.DensityProposal(flow),
+                          np.random.default_rng(16), chunk=3)
+    assert seen == [False] * 8
+    assert ad._grad_enabled is True
+
+
+# (chunk, pairs of xs for 5 of theta, L): the message; the grid audit draws no L
+MALFORMED = {(-2, 5, 16): "chunk must be >= 1 pair, got -2",
+             (0, 5, 16): "chunk must be >= 1 pair, got 0",
+             (None, 6, 16): "5 parameters but 6 observations",
+             (None, 4, 16): "5 parameters but 4 observations",
+             (None, 5, 0): "num_samples must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("audit,args", [("rank", a) for a in MALFORMED]
+                         + [("grid", a) for a in MALFORMED if a[2]])
+def test_malformed_audit_arguments_raise_before_any_work(nonlinear_models,
+                                                         monkeypatch, audit, args):
+    problem = get_problem("nonlinear-2d")
+    ds = simulate_dataset(problem, 6, seed=53)
+    flow = nonlinear_models["npe"]
+    chunk, n_xs, num_samples = args
+    counter, started = RowCounter(flow), counted_threads(monkeypatch)
+    rng = np.random.default_rng(17)
+    with pytest.raises(ValueError, match=MALFORMED[args]):
+        if audit == "rank":
+            rank_statistic_sample(flow, ds.thetas[:5], ds.xs[:n_xs], num_samples,
+                                  covreg.PriorProposal(problem.prior), rng, chunk=chunk)
+        else:
+            ecp_grid_hpdr(flow, ds.thetas[:5], ds.xs[:n_xs], problem, resolution=16,
+                          chunk=chunk)
+    assert (counter.embed_calls, counter.density_calls, started) == (0, 0, [])
+    assert rng.random() == np.random.default_rng(17).random()
 
 
 def test_grid_hpdr_on_a_flow_pair_at_512_has_a_bounded_peak(nonlinear_models):
