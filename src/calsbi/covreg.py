@@ -7,12 +7,13 @@ strictly below the density at theta*:
     alpha = sum_j w_j * 1[p(theta_j|x*) < p(theta*|x*)] / sum_j w_j,
     w_j = p(theta_j|x*) / I(theta_j|x*),   theta_j ~ proposal I.
 
-The proposal is a density like the posterior (`DensityProposal`); training
-always draws from the prior (`PriorProposal`), and only evaluation code
-passes another density, such as an oracle or a flow. The model runs once per
-batch of pairs, on each pair's nominal parameter followed by its L draws; a
-training step's base loss makes that call and hands the (n, 1 + L) block of
-log densities on, so the step runs its network once.
+The proposal is the prior (`PriorProposal`) in training and by default in
+evaluation, or a posterior that samples (`DensityProposal`). The rank
+statistics take the caller's block: the draws and the (n, 1 + L) log
+densities at each pair's nominal parameter and its draws. A training
+step's base loss builds it in the step's one graph call
+(`stacked_log_density`); the rank audit builds it with the posterior's
+numpy `log_density_sets`.
 
 A calibrated model produces uniformly distributed rank statistics, so the
 regularizer drives the batch of alphas toward the uniform order statistics
@@ -32,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Value, concat, gather_rows, no_grad, repeat_rows,
-                       straight_through)
-from .estimators import ConstantGraphDensity, PriorPosterior
+from .autodiff import Value, concat, gather_rows, repeat_rows, straight_through
 
 DEFAULT_LEVELS = tuple((np.arange(1, 20) / 20.0).tolist())
 
@@ -100,11 +99,11 @@ def ste_indicator(u, temperature=1.0):
 
 
 class DensityProposal:
-    """A conditional density as the importance-sampling proposal.
+    """A posterior that samples, as the importance-sampling proposal.
 
-    The density supplies `sample_batch(xs, rng, count)` and is evaluated
-    the way `rank_statistics` evaluates the posterior: each observation is
-    embedded once and its embedding repeated over its draws.
+    The density supplies `sample_batch(xs, rng, count)`, (n, count, d)
+    draws, and `log_density_sets`, which evaluates each observation's draws
+    under it as the rank audit evaluates the audited posterior.
     """
 
     def __init__(self, density):
@@ -114,24 +113,27 @@ class DensityProposal:
         return self.density.sample_batch(xs, rng, count)
 
     def log_density_rows(self, thetas, xs):
-        """Constant log densities of the n * L draw rows, L consecutive per x."""
+        """Log densities of the n * L draw rows, L consecutive per x."""
         count = _draws_per_observation(thetas, xs)
-        model = _graph_surface(self.density)
-        with no_grad():
-            emb = repeat_rows(model.embed_graph(Value(xs)), count)
-            return model.log_density_graph(Value(thetas), emb).data[:, 0]
+        sets = np.reshape(thetas, (len(xs), count, -1))
+        return self.density.log_density_sets(sets, xs).reshape(-1)
 
 
-class PriorProposal(DensityProposal):
-    """`DensityProposal(PriorPosterior(prior))`: draws and densities ignore x."""
+class PriorProposal:
+    """The prior as the proposal: its draws and densities do not read x."""
 
     def __init__(self, prior):
-        super().__init__(PriorPosterior(prior))
+        self.prior = prior
+
+    def sample_batch(self, xs, rng, count):
+        """(n, count, d) prior draws for n observations, in one stream."""
+        n = len(xs)
+        return self.prior.sample(rng, n * count).reshape(n, count, self.prior.dim)
 
     def log_density_rows(self, thetas, xs):
         """The prior's log densities of the n * L draw rows; x is not read."""
         _draws_per_observation(thetas, xs)
-        return self.density.prior.log_density(thetas)
+        return self.prior.log_density(thetas)
 
 
 def _draws_per_observation(thetas, xs):
@@ -141,12 +143,6 @@ def _draws_per_observation(thetas, xs):
         raise ValueError(f"{len(thetas)} draw rows do not split evenly over "
                          f"{len(xs)} observations")
     return count
-
-
-def _graph_surface(posterior):
-    if hasattr(posterior, "log_density_graph") and hasattr(posterior, "embed_graph"):
-        return posterior
-    return ConstantGraphDensity(posterior)
 
 
 def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
@@ -177,48 +173,43 @@ def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
     return numer / denom, degenerate
 
 
-def stacked_log_density(model, emb, thetas, draws):
-    """(n, 1 + L) log densities at each pair's nominal parameter and its draws.
-
-    `draws` is (n, L, d). The model runs once, on n * (1 + L) rows: each
-    pair's nominal parameter followed by its L draws, with the pair's
-    embedding `emb` repeated over them. Column 0 is the nominal parameter,
-    columns 1: the draws.
-    """
-    n, count, d = draws.shape
+def stacked_points(thetas, draws):
+    """(n, 1 + L, d): each pair's nominal parameter followed by its L draws."""
     # autodiff's concat, so that a rank audit's workspace hands every chunk
     # the same array; a fresh one per chunk fragmented the heap (+0.35 MB
     # peak RSS on a 4,096-pair oracle audit)
-    rows = concat([Value(thetas[:, None]), Value(draws)], axis=1).data.reshape(-1, d)
+    return concat([Value(thetas[:, None]), Value(draws)], axis=1).data
+
+
+def stacked_log_density(model, emb, thetas, draws):
+    """(n, 1 + L) log densities at each pair's nominal parameter and its draws.
+
+    `draws` is (n, L, d). The model's graph runs once, on n * (1 + L) rows
+    (`stacked_points`), with the pair's embedding `emb` repeated over them.
+    Column 0 is the nominal parameter, columns 1: the draws.
+    """
+    n, count, d = draws.shape
+    rows = stacked_points(thetas, draws).reshape(-1, d)
     return model.log_density_graph(
         Value(rows), repeat_rows(emb, count + 1)).reshape(n, count + 1)
 
 
-def rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
-                    temperature=1.0, block=None):
+def rank_statistics(thetas, xs, num_samples, proposal, block, temperature=1.0):
     """Batched differentiable rank statistics (one per (theta, x) row).
 
-    `proposal` is a `DensityProposal` (the prior: `PriorProposal(prior)`).
-    `block` is the (draws (n, L, d), log densities Value (n, 1 + L)) pair of
-    a forward pass the caller has already made, as a regularized training
-    step's base loss has; column 0 is at the nominal parameter, columns 1:
-    at the draws. Without it the draws come from `proposal`, each
-    observation is embedded once, and the model runs once, on each pair's
-    nominal parameter and its draws (`stacked_log_density`). Rows whose
-    importance weights all vanish are flagged degenerate and pinned to
-    alpha = 0.
+    `block` is the (draws (n, L, d), log densities Value (n, 1 + L)) pair
+    of a forward pass the caller has made: column 0 at the nominal
+    parameter, columns 1: at the draws. `proposal`, a `PriorProposal` or
+    `DensityProposal`, drew the draws and supplies their proposal
+    densities. Rows whose importance weights all vanish are flagged
+    degenerate and pinned to alpha = 0.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     n, d = thetas.shape
-    if block is None:
-        model = _graph_surface(posterior)
-        draws = proposal.sample_batch(xs, rng, num_samples)            # (n, L, d)
-        lp = stacked_log_density(model, model.embed_graph(Value(xs)), thetas, draws)
-    else:
-        draws, lp = block
+    draws, lp = block
     log_prop = proposal.log_density_rows(
         draws.reshape(n * num_samples, d), xs).reshape(n, num_samples)
     alpha, degenerate = rank_statistic_core(lp[:, :1], lp[:, 1:], log_prop,
@@ -286,20 +277,18 @@ def direct_loss(values, levels=DEFAULT_LEVELS, mode="calibration", temperature=1
     return gap.square().sum()
 
 
-def regularizer(posterior, thetas, xs, config, rng, prior, block=None):
+def regularizer(thetas, xs, config, prior, block):
     """Regularizer loss over a batch, per the training-time recipe.
 
-    The rank statistics draw from `prior` with `rng`, unless `block` passes
-    the base loss's (draws, log densities) on to `rank_statistics`. Returns
-    (loss Value, RankStatisticBatch); the batch carries degeneracy counts so
-    the trainer can surface warnings.
+    `block` is the base loss's (prior draws, log densities), which
+    `rank_statistics` takes. Returns (loss Value, RankStatisticBatch); the
+    batch carries degeneracy counts so the trainer can surface warnings.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape[0] < 2:
         raise ValueError("regularizer needs a batch of >= 2 pairs")
-    batch = rank_statistics(posterior, thetas, xs, config.num_samples,
-                            PriorProposal(prior), rng, config.temperature,
-                            block=block)
+    batch = rank_statistics(thetas, xs, config.num_samples, PriorProposal(prior),
+                            block, config.temperature)
     if config.loss_form == "sorting":
         loss = sorting_loss(batch.values, config.mode, config.sort_relaxation)
     else:

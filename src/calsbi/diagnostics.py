@@ -105,8 +105,10 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
                           chunk=None):
     """Hard-indicator rank statistics for every test pair, chunk-vectorized.
 
-    `proposal` is a `covreg.DensityProposal`, e.g. `PriorProposal(prior)`.
-    The chunk of pairs per slice defaults to one row block of density rows
+    `proposal` is a `covreg.PriorProposal` or `covreg.DensityProposal`.
+    One `log_density_sets` call per chunk evaluates each pair's nominal
+    parameter followed by its L draws (`covreg.stacked_points`). The chunk
+    of pairs defaults to one row block of density rows
     (`estimators.ROW_BLOCK`, L + 1 rows a pair), so eval memory does not
     grow with the number of pairs.
 
@@ -115,13 +117,14 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
     so `rng` is consumed in chunk order, however many workers there are.
     Outside the lock it evaluates the chunk (numpy releases the GIL there)
     and writes its slice of the result, so the statistics are the same bit
-    for bit at any worker count. Each worker runs in its own
-    `autodiff.workspace`, so its chunks reuse one set of arrays instead of
-    allocating and faulting in fresh ones every chunk; it empties its pool
-    before a short last chunk. At L=1024 the slices of a trained width-8
-    flow peak at about 3.5 MB of traced numpy memory per worker, its pool
-    included. An error in any worker stops new chunks and is raised here
-    once every helper thread has been joined.
+    for bit at any worker count; `log_density_sets` reads no shared mutable
+    state. Each worker runs in its own `autodiff.workspace`, so its chunks
+    reuse one set of arrays instead of allocating and faulting in fresh
+    ones every chunk; it empties its pool before a short last chunk. At
+    L=1024 the slices of a trained width-8 flow peak at about 3.5 MB of
+    traced numpy memory per worker, its pool included. An error in any
+    worker stops new chunks and is raised here once every helper thread has
+    been joined.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -131,7 +134,6 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
     n = thetas.shape[0]
     if chunk is None:
         chunk = max(1, estimators.ROW_BLOCK // (num_samples + 1))
-    model = covreg._graph_surface(posterior)
     out = np.empty(n)
     starts = range(0, n, chunk)
     cursor = iter(starts)
@@ -149,9 +151,9 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
                 pool.clear()        # no later chunk has the full chunk's shapes
             draws = proposal.sample_batch(xs[lo:hi], rng, num_samples)
         t, x = thetas[lo:hi], xs[lo:hi]
-        lp = covreg.stacked_log_density(model, model.embed_graph(ad.Value(x)), t, draws)
-        batch = covreg.rank_statistics(posterior, t, x, num_samples, proposal, None,
-                                       block=(draws, lp))
+        lp = posterior.log_density_sets(covreg.stacked_points(t, draws), x)
+        batch = covreg.rank_statistics(t, x, num_samples, proposal,
+                                       (draws, ad.Value(lp)))
         out[lo:hi] = batch.values.data[:, 0]
         return True     # the chunk's arrays are released here, before the next
 
@@ -166,7 +168,7 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
     helpers = []
     # The grad flag is one global: this block keeps it False until every
     # helper has been joined, so a nested no_grad in a worker (the flow's
-    # draws, DensityProposal.log_density_rows) only saves and restores False.
+    # draws, log_density_sets) only saves and restores False.
     with ad.no_grad():
         try:
             for _ in range(_rank_workers(len(starts)) - 1):

@@ -2,24 +2,22 @@
 
 Implementations: a ratio-based classifier model (posterior = prior x ratio,
 unnormalized), a conditional coupling-flow density model (normalized, exact
-sampling), the prior-as-posterior reference, and the conjugate Gaussian
-oracle for the linear-Gaussian problem.
+sampling), and the conjugate Gaussian oracle for the linear-Gaussian
+problem (`problems.LikelihoodPosterior` is the other oracle).
 
-The two trained models share one surface (`NetworkPosterior`):
-
-* graph evaluation -- ``embed_graph`` / ``log_density_graph`` operating on
-  autodiff Values, used by training losses and the coverage regularizer;
-* numpy evaluation -- ``log_density(theta, x)`` on paired rows, with the
-  reuse pair ``embed(x)`` / ``log_density_from_embedding(theta, emb)`` so an
-  observation embedding is computed once and shared across many parameter
-  evaluations, as ``log_density_grid(grid, xs)`` does over a whole grid.
-
-The numpy surface is the graph surface run under ``no_grad``, so the
-surfaces agree bit for bit and embedded and direct evaluation are
-bit-identical. The prior's numpy density and its draws work one column at
-a time, with the operations of its graph density and of the broadcast
-formulas in the same order, so they too agree bit for bit, off the
-prior's support (-inf) included.
+Every posterior answers three numpy calls: `log_density(theta, x)` on
+paired rows; `log_density_sets(thetas, xs)`, (n, k, d) parameters with
+(n, dx) observations to (n, k), set i under observation i, which the rank
+audit calls; and `log_density_grid(grid, xs)`, every observation on one
+point set. The trained models (`NetworkPosterior`) also have a graph
+surface, `embed_graph` / `log_density_graph` on autodiff Values, for
+training. Their numpy calls are that graph run under `no_grad`, each
+observation embedded once, so the surfaces agree bit for bit; the oracles
+broadcast each observation over its points. A set's rows equal paired
+rows bit for bit. The prior's density and its draws work one column
+at a time, with the operations of the broadcast formulas in the same
+order, so they agree with those formulas bit for bit, off the prior's
+support (-inf) included.
 
 Grid passes follow the grid's structure. The flow's first inverse block
 sees one grid coordinate, so its network runs once per distinct coordinate
@@ -106,6 +104,19 @@ def _rows(arr, dim, name):
     return arr
 
 
+def _point_sets(thetas, xs, dim_theta, dim_x):
+    """(n, k, dim_theta) and (n, dim_x) float arrays, else ValueError: one
+    observation row must not broadcast over n point sets."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
+    if thetas.ndim != 3 or thetas.shape[2] != dim_theta:
+        raise ValueError(f"thetas must have shape (n, k, {dim_theta}), got {thetas.shape}")
+    if xs.shape != (thetas.shape[0], dim_x):
+        raise ValueError(f"xs must have shape ({thetas.shape[0]}, {dim_x}) for "
+                         f"{thetas.shape[0]} point sets, got {xs.shape}")
+    return thetas, xs
+
+
 class Prior:
     """Uniform-box or diagonal-Gaussian prior over parameters."""
 
@@ -172,11 +183,13 @@ class Prior:
         return inside
 
     def log_density(self, theta):
-        """Log prior densities of rows, equal to `log_density_graph` bit for bit.
+        """Log prior densities of rows, -inf off the uniform box.
 
-        The Gaussian quadratic is summed one column at a time. From 8
-        columns on, numpy's row sum adds pairwise, not in order, so there
-        the rows are summed as the graph sums them.
+        Equal bit for bit to the broadcast formula
+        `np.square((theta - mean) / scale).sum(axis=1) * -0.5 + const`. The
+        quadratic is summed one column at a time; from 8 columns on, numpy's
+        row sum adds pairwise, not in order, so there the rows are summed
+        as the formula sums them.
         """
         theta = _rows(theta, self.dim, "theta")
         if self.kind == "uniform-box":
@@ -188,14 +201,6 @@ class Prior:
         sq *= -0.5
         sq += self._log_const
         return sq
-
-    def log_density_graph(self, theta):
-        """Column Value (n, 1) of log prior densities, -inf off the uniform box."""
-        if self.kind == "uniform-box":
-            inside = self.in_support(theta.data).reshape(-1, 1)
-            return Value(np.where(inside, self._log_const, -np.inf))
-        z = (theta - Value(self.mean.reshape(1, -1))) / Value(self.scale.reshape(1, -1))
-        return z.square().sum(axis=1, keepdims=True) * (-0.5) + self._log_const
 
 
 class Mlp:
@@ -225,8 +230,8 @@ class NetworkPosterior:
     """The surface both trained models share.
 
     A subclass builds `x_net`, the observation embedding, and defines
-    `log_density_graph`; the numpy surface, paired rows and the grid of a
-    coverage audit alike, is that graph run under no_grad.
+    `log_density_graph`; the numpy surface, paired rows, point sets and the
+    grid of a coverage audit alike, is that graph run under no_grad.
     """
 
     def embed_graph(self, x):
@@ -244,6 +249,16 @@ class NetworkPosterior:
 
     def log_density(self, theta, x):
         return self.log_density_from_embedding(theta, self.embed(x))
+
+    def log_density_sets(self, thetas, xs):
+        """(n, k) log densities of n sets of k parameters, set i under xs[i];
+        the network runs once, each observation embedded once."""
+        thetas, xs = _point_sets(thetas, xs, self.dim_theta, self.dim_x)
+        n, k, d = thetas.shape
+        with ad.no_grad():
+            emb = ad.repeat_rows(self.embed_graph(Value(xs)), k)
+            lp = self.log_density_graph(Value(thetas.reshape(-1, d)), emb)
+        return lp.data.reshape(n, k)
 
     def log_density_grid(self, grid, xs, out=None):
         """(n_x, n_grid) log densities, written into `out` when one is given.
@@ -272,7 +287,8 @@ class NreModel(NetworkPosterior):
 
     The head emits a logit z; the classifier output sigmoid(z) lies in (0, 1)
     and the log posterior is log prior + z (unnormalized, -inf off the
-    prior's support).
+    prior's support). The log prior has no parameters, so it enters the
+    graph as a constant.
     """
 
     normalized = False
@@ -296,7 +312,8 @@ class NreModel(NetworkPosterior):
         return self.head(concat([self.theta_net(theta), x_emb], axis=1))
 
     def log_density_graph(self, theta, x_emb):
-        return self.prior.log_density_graph(theta) + self.logit_graph(theta, x_emb)
+        log_prior = Value(self.prior.log_density(theta.data)[:, None])
+        return log_prior + self.logit_graph(theta, x_emb)
 
 
 class NpeFlow(NetworkPosterior):
@@ -452,27 +469,6 @@ class NpeFlow(NetworkPosterior):
         return flat.reshape(n, count, self.dim_theta)
 
 
-class PriorPosterior:
-    """The prior as a density of theta given x (ignores the observation).
-
-    Also the proposal `covreg.PriorProposal` draws from and evaluates.
-    """
-
-    normalized = True
-    method = "prior"
-
-    def __init__(self, prior):
-        self.prior = prior
-        self.dim_theta = prior.dim
-
-    def log_density(self, theta, x):
-        return self.prior.log_density(theta)
-
-    def sample_batch(self, x, rng, count):
-        n = np.asarray(x).shape[0]
-        return self.prior.sample(rng, n * count).reshape(n, count, self.dim_theta)
-
-
 class GaussianLinearPosterior:
     """Conjugate posterior for x = theta + noise under a standard normal prior.
 
@@ -495,6 +491,13 @@ class GaussianLinearPosterior:
         theta = _rows(theta, self.dim_theta, "theta")
         x = _rows(x, self.dim_theta, "x")
         return self._finish(sum_sq_scaled(theta, self.coef * x, self.std))
+
+    def log_density_sets(self, thetas, xs):
+        """(n, k) log densities of n sets of k parameters, set i under xs[i];
+        each observation's mean broadcasts over its set, in `log_density`'s
+        operations."""
+        thetas, xs = _point_sets(thetas, xs, self.dim_theta, self.dim_theta)
+        return self._finish(sum_sq_scaled(thetas, self.coef * xs[:, None], self.std))
 
     def log_density_grid(self, grid, xs, out=None):
         """(n_x, n_grid) log densities, written into `out` when one is given.
@@ -544,24 +547,6 @@ class GaussianLinearPosterior:
         x = _rows(x, self.dim_theta, "x")
         mean = self.coef * x[:, None, :]
         return mean + self.std * rng.standard_normal((x.shape[0], count, self.dim_theta))
-
-
-class ConstantGraphDensity:
-    """Wrap a numpy-only density so rank-statistic code can treat it as a graph model.
-
-    The "embedding" is the observation itself. Outputs are constant Values
-    without parameter gradients (there are none), whether the density is the
-    audited posterior or the proposal.
-    """
-
-    def __init__(self, density):
-        self.density = density
-
-    def embed_graph(self, x):
-        return Value(x.data)
-
-    def log_density_graph(self, theta, x_emb):
-        return Value(self.density.log_density(theta.data, x_emb.data).reshape(-1, 1))
 
 
 def build_model(method, prior, dim_x, arch, rng=None):

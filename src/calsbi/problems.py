@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (LOG_2PI, GaussianLinearPosterior, Prior, _rows,
-                         sum_sq_scaled)
+from .estimators import (LOG_2PI, GaussianLinearPosterior, Prior, _point_sets,
+                         _rows, sum_sq_scaled)
 
 FILE_MAGIC = b"SBID"
 FILE_VERSION = 1
@@ -255,8 +255,17 @@ class LikelihoodPosterior:
         """Log joint density of paired (theta, x) rows."""
         theta = _rows(theta, self.dim_theta, "theta")
         x = _rows(x, self.problem.dim_x, "x")
-        return self._log_joint(self.problem.prior.log_density(theta),
-                               self.problem.mean_fn(theta), x)
+        return self.log_density_sets(theta[:, None], x)[:, 0]
+
+    def log_density_sets(self, thetas, xs):
+        """(n, k) log joint densities of n sets of k parameters, set i under
+        xs[i]; each observation broadcasts over its set's simulator means."""
+        p = self.problem
+        thetas, xs = _point_sets(thetas, xs, self.dim_theta, p.dim_x)
+        n, k, d = thetas.shape
+        rows = thetas.reshape(-1, d)
+        return self._log_joint(p.prior.log_density(rows).reshape(n, k),
+                               p.mean_fn(rows).reshape(n, k, p.dim_x), xs[:, None])
 
     def log_density_grid(self, grid, xs, out=None):
         """(n_x, n_grid) log joint densities, written into `out` when given.

@@ -155,7 +155,7 @@ def nre_base_loss(model, thetas, xs, rng, draws=None):
     loss = _softplus(signed * Value(_NRE_SIGNS)).mean()
     if draws is None:
         return loss, None
-    log_prior = model.prior.log_density_graph(Value(rows)).data.reshape(n, k)
+    log_prior = model.prior.log_density(rows).reshape(n, k)
     return loss, Value(log_prior[:, 1:]) + logits[:, 1:]
 
 
@@ -214,8 +214,7 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
         total = base
         rval, degenerate = 0.0, 0
         if reg is not None:
-            rloss, rbatch = covreg.regularizer(model, thetas, xs, reg, rng_reg,
-                                               prior, block=(draws, lp))
+            rloss, rbatch = covreg.regularizer(thetas, xs, reg, prior, (draws, lp))
             total = base + rloss * reg.weight
             rval, degenerate = float(rloss.data[0]), rbatch.degenerate_count
         tval = float(total.data[0])

@@ -19,11 +19,11 @@ from calsbi.diagnostics import (conservativeness_error, coverage_auc,
                                 curve_from_rank_statistics, ecp_grid_hpdr,
                                 expected_log_posterior, ks_statistic,
                                 mixture_demo, rank_statistic_sample)
-from calsbi.estimators import NpeFlow, PriorPosterior, build_model
+from calsbi.estimators import NpeFlow, build_model
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 from calsbi.trainer import TrainConfig, train
 
-from conftest import assert_close_rel, finite_difference
+from conftest import PriorAsPosterior, assert_close_rel, finite_difference
 from step_overhead import measure_step_overhead
 from surrogate_twin import RegularizerTwin, rank_statistic_quotient
 
@@ -74,7 +74,7 @@ def test_criterion_01_oracle_calibration(gl_test_set, oracle_alphas):
 
 
 def test_criterion_02_prior_calibration(gl_problem, gl_test_set):
-    prior_model = PriorPosterior(gl_problem.prior)
+    prior_model = PriorAsPosterior(gl_problem.prior)
     alphas = rank_statistic_sample(
         prior_model, gl_test_set.thetas, gl_test_set.xs, EVAL_SAMPLES,
         covreg.PriorProposal(gl_problem.prior), np.random.default_rng(2))

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from calsbi import autodiff, cli, covreg, diagnostics, problems, trainer
+from calsbi import autodiff, cli, covreg, diagnostics, estimators, problems, trainer
 from calsbi.estimators import NpeFlow
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
+
+from conftest import rank_block
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -64,15 +66,27 @@ def _installed(rec):
                 delattr(cls, attr)
 
 
+# (class, methods) that spans.install wraps by name on calsbi's classes
+_WRAPPED_METHODS = [
+    (covreg.PriorProposal, ("sample_batch", "log_density_rows")),
+    (covreg.DensityProposal, ("sample_batch", "log_density_rows")),
+    (estimators.NreModel, ("embed_graph", "log_density_graph", "logit_graph")),
+    (estimators.NpeFlow, ("embed_graph", "log_density_graph")),
+    (estimators.GaussianLinearPosterior, ("log_density", "log_density_grid")),
+]
+
+
 def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
     before = _calsbi_bindings()
     # the prior proposal owns its density rows, as NpeFlow owns its grid pass
     prior_rows = vars(covreg.PriorProposal)["log_density_rows"]
     rec = spans.Recorder()
     with _installed(rec) as state:
-        for cls in (covreg.PriorProposal, covreg.DensityProposal):
-            for attr in ("sample_batch", "log_density_rows"):
-                assert getattr(cls, attr) is not before[("calsbi.covreg", cls.__name__, attr)]
+        for cls, attrs in _WRAPPED_METHODS:
+            for attr in attrs:
+                key = (cls.__module__, cls.__name__, attr)
+                assert callable(before[key]), key
+                assert getattr(cls, attr) is not before[key], key
         for attr in ("regularizer", "rank_statistics", "rank_statistic_core",
                      "sorting_loss", "direct_loss"):
             assert getattr(covreg, attr) is not before[("calsbi.covreg", attr)]
@@ -80,9 +94,10 @@ def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
         # that reads `.size` and `.degenerate_count` off the rank statistics
         problem = get_problem("gaussian-linear")
         ds = simulate_dataset(problem, 8, seed=0)
-        covreg.regularizer(analytic_posterior(problem), ds.thetas, ds.xs,
-                           covreg.RegConfig(num_samples=4),
-                           np.random.default_rng(0), problem.prior)
+        block = rank_block(analytic_posterior(problem), ds.thetas, ds.xs, 4,
+                           covreg.PriorProposal(problem.prior), np.random.default_rng(0))
+        covreg.regularizer(ds.thetas, ds.xs, covreg.RegConfig(num_samples=4),
+                           problem.prior, block)
     after = state["after"]
     assert {"covreg.regularizer", "covreg.rank_statistics", "covreg.proposal",
             "covreg.rank_core", "covreg.sort_loss"} <= set(rec.names)

@@ -10,11 +10,11 @@ from calsbi.covreg import (RegConfig, direct_loss, rank_statistic_core,
                            rank_statistics, regularizer, sorting_loss,
                            ste_indicator)
 from calsbi.diagnostics import rank_statistic_sample
-from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, Prior,
-                               PriorPosterior)
+from calsbi.estimators import NpeFlow, Prior
 from calsbi.problems import analytic_posterior, get_problem, simulate_dataset
 
-from conftest import RowCounter, assert_close_rel, finite_difference
+from conftest import (PairedSets, PriorAsPosterior, RowCounter, assert_close_rel,
+                      finite_difference, rank_block)
 from surrogate_twin import RegularizerTwin, rank_statistic_quotient
 
 
@@ -22,7 +22,7 @@ def phi(z):
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-class QuadraticDensity:
+class QuadraticDensity(PairedSets):
     """Unnormalized 1D density exp(-theta^2); mode at zero."""
 
     normalized = False
@@ -33,7 +33,7 @@ class QuadraticDensity:
         return -theta ** 2
 
 
-class VanishingDensity:
+class VanishingDensity(PairedSets):
     normalized = False
     dim_theta = 1
 
@@ -41,7 +41,7 @@ class VanishingDensity:
         return np.full(np.asarray(theta).reshape(-1, 1).shape[0], -np.inf)
 
 
-class StdNormal1D:
+class StdNormal1D(PairedSets):
     normalized = True
     dim_theta = 1
 
@@ -77,8 +77,9 @@ def test_alpha_matches_analytic_tail_mass_for_standard_normal():
 
 def test_degenerate_weights_yield_zero_and_are_flagged():
     prop = covreg.PriorProposal(Prior.uniform_box([-1.0], [1.0]))
-    batch = rank_statistics(VanishingDensity(), np.zeros((4, 1)), np.zeros((4, 1)),
-                            8, prop, np.random.default_rng(0))
+    pairs = np.zeros((4, 1)), np.zeros((4, 1))
+    block = rank_block(VanishingDensity(), *pairs, 8, prop, np.random.default_rng(0))
+    batch = rank_statistics(*pairs, 8, prop, block)
     np.testing.assert_array_equal(batch.values.data[:, 0], 0.0)
     assert batch.degenerate_count == 4
 
@@ -87,9 +88,9 @@ def test_alpha_always_in_unit_interval():
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)
     ds = simulate_dataset(problem, 200, seed=11)
-    batch = rank_statistics(oracle, ds.thetas, ds.xs, 8,
-                            covreg.PriorProposal(problem.prior),
-                            np.random.default_rng(1))
+    proposal = covreg.PriorProposal(problem.prior)
+    block = rank_block(oracle, ds.thetas, ds.xs, 8, proposal, np.random.default_rng(1))
+    batch = rank_statistics(ds.thetas, ds.xs, 8, proposal, block)
     a = batch.values.data[:, 0]
     assert np.all((a >= 0.0) & (a <= 1.0))
 
@@ -110,7 +111,7 @@ def test_scale_invariance_is_bit_exact_for_representable_factors():
 
 
 def test_full_pipeline_scale_invariance_to_double_precision():
-    class Scaled:
+    class Scaled(PairedSets):
         normalized = False
         dim_theta = 1
 
@@ -136,10 +137,9 @@ def test_forward_value_independent_of_temperature():
     oracle = analytic_posterior(problem)
     ds = simulate_dataset(problem, 64, seed=3)
     proposal = covreg.PriorProposal(problem.prior)
-    a1 = rank_statistics(oracle, ds.thetas, ds.xs, 16, proposal,
-                         np.random.default_rng(7), temperature=1.0)
-    a100 = rank_statistics(oracle, ds.thetas, ds.xs, 16, proposal,
-                           np.random.default_rng(7), temperature=100.0)
+    block = rank_block(oracle, ds.thetas, ds.xs, 16, proposal, np.random.default_rng(7))
+    a1 = rank_statistics(ds.thetas, ds.xs, 16, proposal, block, temperature=1.0)
+    a100 = rank_statistics(ds.thetas, ds.xs, 16, proposal, block, temperature=100.0)
     np.testing.assert_array_equal(a1.values.data, a100.values.data)
 
 
@@ -208,14 +208,13 @@ def test_prior_proposal_is_the_prior_posterior():
     prior = Prior.uniform_box([-1.0, 0.0], [1.0, 2.0])
     xs = np.random.default_rng(6).standard_normal((5, 2))
     proposal = covreg.PriorProposal(prior)
-    reference = PriorPosterior(prior)
+    reference = covreg.DensityProposal(PriorAsPosterior(prior))
     draws = proposal.sample_batch(xs, np.random.default_rng(7), 9)
     np.testing.assert_array_equal(
         draws, reference.sample_batch(xs, np.random.default_rng(7), 9))
     flat = draws.reshape(-1, 2)
-    np.testing.assert_array_equal(
-        proposal.log_density_rows(flat, xs),
-        reference.log_density(flat, np.repeat(xs, 9, axis=0)))
+    np.testing.assert_array_equal(proposal.log_density_rows(flat, xs),
+                                  reference.log_density_rows(flat, xs))
 
 
 # -- straight-through indicator ---------------------------------------------------
@@ -398,8 +397,9 @@ def test_oracle_posterior_regularizer_is_tiny():
     ds = simulate_dataset(problem, 512, seed=42)
     cfg = RegConfig(mode="calibration", loss_form="sorting", num_samples=1024)
     with ad.no_grad():
-        loss, batch = regularizer(oracle, ds.thetas, ds.xs, cfg,
-                                  np.random.default_rng(0), prior=problem.prior)
+        block = rank_block(oracle, ds.thetas, ds.xs, cfg.num_samples,
+                           covreg.PriorProposal(problem.prior), np.random.default_rng(0))
+        loss, batch = regularizer(ds.thetas, ds.xs, cfg, problem.prior, block)
     assert float(loss.data[0]) <= 0.002
     assert batch.degenerate_count == 0
 
@@ -409,8 +409,10 @@ def test_prior_as_posterior_regularizer_same_scale():
     ds = simulate_dataset(problem, 512, seed=42)
     cfg = RegConfig(mode="calibration", loss_form="sorting", num_samples=1024)
     with ad.no_grad():
-        loss, _ = regularizer(PriorPosterior(problem.prior), ds.thetas, ds.xs,
-                              cfg, np.random.default_rng(0), prior=problem.prior)
+        block = rank_block(PriorAsPosterior(problem.prior), ds.thetas, ds.xs,
+                           cfg.num_samples, covreg.PriorProposal(problem.prior),
+                           np.random.default_rng(0))
+        loss, _ = regularizer(ds.thetas, ds.xs, cfg, problem.prior, block)
     assert float(loss.data[0]) <= 0.002
 
 
@@ -418,9 +420,11 @@ def test_regularizer_requires_two_pairs():
     problem = get_problem("gaussian-linear")
     oracle = analytic_posterior(problem)
     cfg = RegConfig()
+    pair = np.zeros((1, 2)), np.zeros((1, 2))
+    block = rank_block(oracle, *pair, cfg.num_samples,
+                       covreg.PriorProposal(problem.prior), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        regularizer(oracle, np.zeros((1, 2)), np.zeros((1, 2)), cfg,
-                    np.random.default_rng(0), prior=problem.prior)
+        regularizer(*pair, cfg, problem.prior, block)
 
 
 class ScaleModel:
@@ -454,8 +458,9 @@ def test_conservative_gradient_inflates_underdispersed_scale():
     model = ScaleModel(coef=1 / (1 + problem.noise_sigma ** 2),
                        log_scale=math.log(0.5 * true_std))
     cfg = RegConfig(mode="conservative", loss_form="sorting", num_samples=64)
-    loss, _ = regularizer(model, ds.thetas, ds.xs, cfg,
-                          np.random.default_rng(2), prior=problem.prior)
+    block = rank_block(model, ds.thetas, ds.xs, cfg.num_samples,
+                       covreg.PriorProposal(problem.prior), np.random.default_rng(2))
+    loss, _ = regularizer(ds.thetas, ds.xs, cfg, problem.prior, block)
     loss.backward()
     grad = model.log_scale.grad[0, 0]
     assert grad < 0.0  # a descent step increases the scale

@@ -19,12 +19,12 @@ from calsbi.diagnostics import (DEFAULT_EVAL_LEVELS, CoverageCurve,
                                 rank_statistic_sample, sbc_histogram,
                                 write_coverage_csv, write_metrics_csv,
                                 write_sbc_csv)
-from calsbi.estimators import Prior, PriorPosterior
+from calsbi.estimators import Prior
 from calsbi.problems import (analytic_posterior, get_problem, oracle_posterior,
                              simulate_dataset)
 from calsbi.trainer import TrainConfig, train
 
-from conftest import RowCounter
+from conftest import PriorAsPosterior, RowCounter, paired_log_density
 
 
 def phi(z):
@@ -69,7 +69,7 @@ def test_rank_based_ecp_on_oracle_close_to_diagonal():
 def test_prior_as_posterior_is_calibrated():
     problem = get_problem("gaussian-linear")
     ds = simulate_dataset(problem, 2000, seed=32)
-    alphas = rank_statistic_sample(PriorPosterior(problem.prior), ds.thetas,
+    alphas = rank_statistic_sample(PriorAsPosterior(problem.prior), ds.thetas,
                                    ds.xs, 512, covreg.PriorProposal(problem.prior),
                                    np.random.default_rng(2), chunk=256)
     curve = curve_from_rank_statistics(alphas, DEFAULT_EVAL_LEVELS, 512)
@@ -312,18 +312,16 @@ def test_rank_statistics_are_bit_identical_with_and_without_the_pool(
 def _two_call_rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
                               chunk):
     """Reference: rank statistics from one model call on each chunk's nominal
-    rows and a second on its draw rows."""
-    model = covreg._graph_surface(posterior)
+    rows and a second on its draw rows, paired rows for an oracle."""
     out = []
     with ad.no_grad():
         for lo in range(0, len(thetas), chunk):
             t, x = thetas[lo:lo + chunk], xs[lo:lo + chunk]
-            emb = model.embed_graph(ad.Value(x))
-            lp_star = model.log_density_graph(ad.Value(t), emb)
+            lp_star = paired_log_density(posterior, t, x)
             draws = proposal.sample_batch(x, rng, num_samples).reshape(-1, t.shape[1])
             log_prop = proposal.log_density_rows(draws, x).reshape(len(t), -1)
-            lp_draws = model.log_density_graph(
-                ad.Value(draws), ad.repeat_rows(emb, num_samples)).reshape(len(t), -1)
+            lp_draws = paired_log_density(posterior, draws, x,
+                                          num_samples).reshape(len(t), -1)
             out.append(covreg.rank_statistic_core(lp_star, lp_draws, log_prop)[0].data[:, 0])
     return np.concatenate(out)
 
@@ -358,6 +356,36 @@ def test_rank_audit_runs_the_model_once_per_chunk(method):
     # each chunk's nominal and draw rows, 1 + L a pair, in one call
     assert (counter.embed_calls, counter.embed_rows) == (3, 10)
     assert (counter.density_calls, counter.density_rows) == (3, 10 * 65)
+
+
+def test_an_oracle_rank_audit_repeats_no_observation(monkeypatch):
+    # an oracle broadcasts each observation over its pair's nominal parameter
+    # and draws, so no chunk repeats observation rows; a network model repeats
+    # its embedding once a chunk
+    repeat_rows, calls = ad.repeat_rows, []
+
+    def counted(v, k):
+        calls.append(k)
+        return repeat_rows(v, k)
+
+    for module in (ad, covreg):
+        monkeypatch.setattr(module, "repeat_rows", counted)
+    for name in ("gaussian-linear", "nonlinear-2d"):
+        problem = get_problem(name)
+        oracle = oracle_posterior(problem)
+        ds = simulate_dataset(problem, 10, seed=47)
+        proposals = [covreg.PriorProposal(problem.prior)]
+        if name == "gaussian-linear":
+            proposals.append(covreg.DensityProposal(oracle))
+        for proposal in proposals:
+            rank_statistic_sample(oracle, ds.thetas, ds.xs, 64, proposal,
+                                  np.random.default_rng(11), chunk=4)
+    assert calls == []
+    flow = estimators.build_model("npe", problem.prior, problem.dim_x, {},
+                                  rng=np.random.default_rng(3))
+    rank_statistic_sample(flow, ds.thetas, ds.xs, 64, proposals[0],
+                          np.random.default_rng(11), chunk=4)
+    assert calls == [65] * 3
 
 
 def pin_workers(monkeypatch, count):
@@ -780,7 +808,7 @@ def test_ks_rejects_out_of_range():
 
 def test_expected_log_posterior_of_uniform_prior():
     prior = Prior.uniform_box([-1.0, -1.0], [1.0, 1.0])
-    pp = PriorPosterior(prior)
+    pp = PriorAsPosterior(prior)
     rng = np.random.default_rng(0)
     thetas = prior.sample(rng, 50)
     report = expected_log_posterior(pp, thetas, np.zeros((50, 2)), prior=prior)
@@ -793,7 +821,7 @@ def test_expected_log_posterior_of_uniform_prior():
 
 def test_expected_log_posterior_counts_support_violations():
     prior = Prior.uniform_box([-1.0], [1.0])
-    pp = PriorPosterior(prior)
+    pp = PriorAsPosterior(prior)
     thetas = np.array([[0.0], [2.0], [0.5]])
     report = expected_log_posterior(pp, thetas, np.zeros((3, 1)))
     assert report.excluded == 1

@@ -8,9 +8,10 @@ from calsbi import autodiff as ad
 from calsbi import estimators
 from calsbi.autodiff import Value, concat
 from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, NreModel, Prior,
-                               PriorPosterior, build_model)
+                               build_model)
+from calsbi.problems import LikelihoodPosterior, get_problem
 
-from conftest import RowCounter, assert_close_rel, finite_difference
+from conftest import PriorAsPosterior, RowCounter, assert_close_rel, finite_difference
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -48,14 +49,20 @@ def _priors(dim, rng):
 
 
 def test_prior_graph_matches_numpy(rng):
-    # 9 columns: numpy's row sum adds 8 or more columns pairwise
+    # the reference is the broadcast formula; 9 columns: numpy's row sum
+    # adds 8 or more columns pairwise
     for dim in (1, 2, 3, 9):
         for prior in _priors(dim, rng):
             theta = np.concatenate([prior.sample(rng, 16),
                                     rng.uniform(-4.0, 4.0, size=(16, dim))])
-            graph = prior.log_density_graph(Value(theta)).data[:, 0]
-            np.testing.assert_array_equal(graph, prior.log_density(theta))
-        assert np.isneginf(graph).any() and np.isfinite(graph).any()  # the box
+            const = prior._log_const
+            if prior.kind == "uniform-box":
+                formula = np.where(prior.in_support(theta), const, -np.inf)
+            else:
+                z = (theta - prior.mean) / prior.scale
+                formula = np.square(z).sum(axis=1) * -0.5 + const
+            np.testing.assert_array_equal(formula, prior.log_density(theta))
+        assert np.isneginf(formula).any() and np.isfinite(formula).any()  # the box
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])
@@ -122,13 +129,16 @@ def test_ratio_log_posterior_gradients_match_finite_differences(rng):
     for p in params.values():
         p.grad = None
 
-    def forward():
+    def forward(graph=model.log_density_graph):
         emb = model.embed_graph(Value(x))
-        return float(model.log_density_graph(theta, emb).sum().data[0])
+        return float(graph(theta, emb).sum().data[0])
 
     emb = model.embed_graph(Value(x))
     model.log_density_graph(theta, emb).sum().backward()
-    assert_close_rel(theta.grad, finite_difference(forward, theta.data))
+    # the log prior has no parameters and enters as a constant, so theta's
+    # gradient is the head's
+    assert_close_rel(theta.grad, finite_difference(
+        lambda: forward(model.logit_graph), theta.data))
     for name in ("theta_net.w0", "x_net.w1", "head.w2", "head.b0"):
         assert_close_rel(params[name].grad,
                          finite_difference(forward, params[name].data))
@@ -288,21 +298,49 @@ def test_coupling_halves_match_per_column_reference_bit_for_bit(dim, blocks):
             reference_push_forward(flow, Value(theta), emb).data)
 
 
+def _every_posterior(r):
+    """(posterior, dim_x, box prior or None) for both trained models and both
+    oracles; the box-prior ones are -inf off the box."""
+    box = Prior.uniform_box([-1.0, -2.0], [1.0, 2.0])
+    nonlinear = get_problem("nonlinear-2d")
+    cases = [(NreModel(box, dim_x=2, rng=r), 2, box),
+             (NreModel(Prior.gaussian([0.3, -0.2], [0.7, 3.0]), dim_x=2, rng=r), 2, None)]
+    cases += [(NpeFlow(dim, 2, rng=r, last_scale=0.5), 2, None) for dim in (1, 2, 3)]
+    return cases + [(GaussianLinearPosterior(0.5, 3), 3, None),
+                    (LikelihoodPosterior(nonlinear), nonlinear.dim_x, nonlinear.prior)]
+
+
 def test_graph_surface_equals_numpy_surface():
     r = np.random.default_rng(21)
-    box = NreModel(Prior.uniform_box([-1.0, -2.0], [1.0, 2.0]), dim_x=2, rng=r)
-    models = [box, NreModel(Prior.gaussian([0.3, -0.2], [0.7, 3.0]), dim_x=2, rng=r)]
-    models += [NpeFlow(dim, 2, rng=r, last_scale=0.5) for dim in (1, 2, 3)]
-    for model in models:
-        theta = r.uniform(-2.5, 2.5, size=(40, model.dim_theta))
-        x = r.standard_normal((40, 2))
-        graph = model.log_density_graph(Value(theta), model.embed_graph(Value(x)))
-        numpy_ld = model.log_density(theta, x)
-        np.testing.assert_array_equal(graph.data[:, 0], numpy_ld)
-        if model is box:
-            off = ~box.prior.in_support(theta)
-            assert off.any() and np.isneginf(numpy_ld[off]).all()
-            assert np.isfinite(numpy_ld[~off]).all()
+    for model, dim_x, box in _every_posterior(r):
+        if hasattr(model, "log_density_graph"):
+            theta = r.uniform(-2.5, 2.5, size=(40, model.dim_theta))
+            x = r.standard_normal((40, dim_x))
+            graph = model.log_density_graph(Value(theta), model.embed_graph(Value(x)))
+            np.testing.assert_array_equal(graph.data[:, 0], model.log_density(theta, x))
+        # point sets equal paired rows, each observation repeated over its set
+        sets = r.uniform(-4.0, 4.0, size=(8, 5, model.dim_theta))
+        x = r.standard_normal((8, dim_x))
+        paired = model.log_density(sets.reshape(40, -1), np.repeat(x, 5, axis=0))
+        np.testing.assert_array_equal(model.log_density_sets(sets, x),
+                                      paired.reshape(8, 5))
+        if box is not None:
+            off = ~box.in_support(sets.reshape(40, -1))
+            assert off.any() and np.isneginf(paired[off]).all()
+            assert np.isfinite(paired[~off]).all()
+
+
+def test_point_sets_of_the_wrong_shape_are_rejected():
+    # one observation row must not broadcast over several point sets
+    for posterior, dim_x, _ in _every_posterior(np.random.default_rng(22)):
+        d = posterior.dim_theta
+        sets, xs = np.zeros((3, 4, d)), np.zeros((3, dim_x))
+        for bad in ((sets, xs[:1]), (sets, np.zeros((4, dim_x))),
+                    (np.zeros((3, 4, d + 1)), xs), (sets[:, 0], xs),
+                    (sets, np.zeros((3, dim_x + 1)))):
+            with pytest.raises(ValueError, match="must have shape"):
+                posterior.log_density_sets(*bad)
+        assert posterior.log_density_sets(sets, xs).shape == (3, 4)
 
 
 @pytest.mark.parametrize("dim,blocks", [(1, 2), (2, 2), (2, 3), (3, 2)])
@@ -436,7 +474,7 @@ def test_conjugate_posterior_integrates_to_one_on_grid():
 
 def test_prior_as_posterior_ignores_observation(rng):
     prior = Prior.gaussian([0.0], [1.0])
-    pp = PriorPosterior(prior)
+    pp = PriorAsPosterior(prior)
     theta = rng.standard_normal((5, 1))
     a = pp.log_density(theta, np.zeros((5, 1)))
     b = pp.log_density(theta, np.ones((5, 1)) * 9.0)

@@ -17,7 +17,7 @@ from calsbi.trainer import (TrainAbort, TrainConfig, derangement,
                             load_checkpoint, nre_base_loss, npe_base_loss,
                             save_checkpoint, train)
 
-from conftest import RowCounter
+from conftest import RowCounter, rank_block
 from step_overhead import measure_step_overhead
 
 
@@ -168,8 +168,7 @@ def test_clip_norm_not_above_zero_rejected_before_the_model_is_built(
 
 
 def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
-    def fake_regularizer(posterior, thetas, xs, config, rng, prior=None,
-                         block=None):
+    def fake_regularizer(thetas, xs, config, prior, block):
         n = thetas.shape[0]
         batch = covreg.RankStatisticBatch(
             values=Value(np.zeros((n, 1))), degenerate=np.ones(n, dtype=bool))
@@ -262,27 +261,21 @@ def test_regularized_step_draws_from_the_prior(method, monkeypatch):
 
 def test_plain_nre_step_never_builds_the_prior_log_density(monkeypatch):
     problem, ds, model, reg = _step_setup("nre")
-    calls = {"log_density_graph": [], "log_density": []}
+    calls, real = [], problem.prior.log_density
 
-    def record(name):
-        real = getattr(problem.prior, name)
+    def recording(theta):
+        calls.append(len(theta))
+        return real(theta)
 
-        def recording(theta):
-            calls[name].append(len(getattr(theta, "data", theta)))
-            return real(theta)
-        monkeypatch.setattr(problem.prior, name, recording)
-
-    record("log_density_graph")
-    record("log_density")
+    monkeypatch.setattr(problem.prior, "log_density", recording)
     rngs = (np.random.default_rng(0), np.random.default_rng(1))
     opt = AdamW(model.parameters())
     trainer.train_step(model, opt, ds.thetas, ds.xs, None, 5.0, rngs, problem.prior)
-    assert calls == {"log_density_graph": [], "log_density": []}
+    assert calls == []
     trainer.train_step(model, opt, ds.thetas, ds.xs, reg, 5.0, rngs, problem.prior)
-    # the regularized step builds it on the base loss's rows (negative,
-    # nominal and draws) and evaluates it on the draws, for the proposal
-    assert calls == {"log_density_graph": [ds.count * (2 + reg.num_samples)],
-                     "log_density": [ds.count * reg.num_samples]}
+    # the regularized step evaluates it on the base loss's rows (negative,
+    # nominal and draws), then on the draws, for the proposal
+    assert calls == [ds.count * (2 + reg.num_samples), ds.count * reg.num_samples]
 
 
 @pytest.mark.parametrize("method", ["npe", "nre"])
@@ -291,8 +284,9 @@ def test_shared_forward_step_gradients_match_separate_calls(method):
     params = model.parameters()
     # reference: base loss and regularizer each run their own forward pass
     base, _ = trainer.base_loss(model, ds.thetas, ds.xs, np.random.default_rng(0))
-    rloss, _ = covreg.regularizer(model, ds.thetas, ds.xs, reg,
-                                  np.random.default_rng(1), prior=problem.prior)
+    block = rank_block(model, ds.thetas, ds.xs, reg.num_samples,
+                       covreg.PriorProposal(problem.prior), np.random.default_rng(1))
+    rloss, _ = covreg.regularizer(ds.thetas, ds.xs, reg, problem.prior, block)
     (base + rloss * reg.weight).backward()
     expected = {k: p.grad for k, p in params.items()}
     opt = AdamW(params)
