@@ -130,8 +130,8 @@ def cmd_eval(args):
             raise ValueError(f"{args.checkpoint} was trained on (problem, "
                              f"dim_theta, dim_x) {trained}, but {args.data} "
                              f"holds {audited}")
-    os.makedirs(args.out_dir, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    os.makedirs(args.out_dir, exist_ok=True)
     proposal = covreg.PriorProposal(problem.prior)
 
     curves = []
@@ -369,7 +369,7 @@ def main(argv=None):
     except FloatingPointError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

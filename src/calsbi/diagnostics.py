@@ -211,15 +211,18 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     that mass is below l.
 
     The posterior writes a slice of pairs into a (chunk, grid) log-density
-    buffer with `log_density_grid(grid, xs, out=)`, and the reduction (row
-    max, subtract, exp, the denser-than-nominal mask, two row sums) runs in
-    place in a weight and a mask buffer of the same shape; the three are
-    allocated once per call. The chunk of pairs defaults to one row block
-    of grid rows (`estimators.ROW_BLOCK`), the rule the rank path uses, so
-    at 512^2 a slice is one pair and a buffer 2 MB. 16 Gaussian-oracle
-    pairs or one trained-flow pair at 512^2 (through the flow's grid pass)
-    peak at about 10 or 11 MB of traced numpy memory. Reserved for
-    dim_theta <= 2.
+    buffer with `log_density_grid(layout, xs, out=)`. `layout` is the
+    `problems.GridLayout` itself: the cell centres (`points`) and the
+    per-dimension `axes` whose ij product they are, so a posterior can
+    evaluate a term once per axis value instead of once per point. The
+    reduction (row max, subtract, exp, the denser-than-nominal mask, two row
+    sums) runs in place in a weight and a mask buffer of the same shape; the
+    three are allocated once per call. The chunk of pairs defaults to one
+    row block of grid rows (`estimators.ROW_BLOCK`), the rule the rank path
+    uses, so at 512^2 a slice is one pair and a buffer 2 MB. 16
+    Gaussian-oracle pairs or one trained-flow pair at 512^2 (through the
+    flow's grid pass) peak at about 10 or 11 MB of traced numpy memory.
+    Reserved for dim_theta <= 2.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
@@ -227,8 +230,7 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     require_grid_dim(thetas.shape[1])
     levels = np.asarray(levels, dtype=np.float64)
     layout = grid_layout(problem, resolution)
-    grid = layout.points
-    g = grid.shape[0]
+    g = len(layout)
     cells, inside = layout.cell_index(thetas)
     n = thetas.shape[0]
     if chunk is None:
@@ -241,7 +243,7 @@ def ecp_grid_hpdr(posterior, thetas, xs, problem, levels=DEFAULT_EVAL_LEVELS,
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         ld, rel, mask = ld_buf[:hi - lo], rel_buf[:hi - lo], mask_buf[:hi - lo]
-        posterior.log_density_grid(grid, xs[lo:hi], out=ld)
+        posterior.log_density_grid(layout, xs[lo:hi], out=ld)
         nominal = ld[np.arange(hi - lo), cells[lo:hi], None]
         np.greater(ld, nominal, out=mask)
         np.subtract(ld, ld.max(axis=1, keepdims=True), out=rel)

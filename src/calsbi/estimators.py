@@ -8,8 +8,9 @@ problem (`problems.LikelihoodPosterior` is the other oracle).
 Every posterior answers three numpy calls: `log_density(theta, x)` on
 paired rows; `log_density_sets(thetas, xs)`, (n, k, d) parameters with
 (n, dx) observations to (n, k), set i under observation i, which the rank
-audit calls; and `log_density_grid(grid, xs)`, every observation on one
-point set. The trained models (`NetworkPosterior`) also have a graph
+audit calls; and `log_density_grid(layout, xs)`, every observation on the
+points of one `problems.GridLayout`, the ij product of its per-dimension
+`axes`. The trained models (`NetworkPosterior`) also have a graph
 surface, `embed_graph` / `log_density_graph` on autodiff Values, for
 training. Their numpy calls are that graph run under `no_grad`, each
 observation embedded once, so the surfaces agree bit for bit; the oracles
@@ -19,12 +20,12 @@ at a time, with the operations of the broadcast formulas in the same
 order, so they agree with those formulas bit for bit, off the prior's
 support (-inf) included.
 
-Grid passes follow the grid's structure. The flow's first inverse block
-sees one grid coordinate, so its network runs once per distinct coordinate
-value and the result is gathered onto the grid rows. The Gaussian oracle's
-quadratic splits into one term per dimension, so on a product grid
-(`product_axes`) each term is computed once per coordinate value and the
-terms are broadcast-added. Grid rows still equal paired rows bit for bit.
+Grid passes read the layout's axes instead of rediscovering them. The
+flow's first inverse block sees one grid coordinate, so its network runs
+once per observation on that coordinate's axis and the result is gathered
+onto the grid rows. The Gaussian oracle's quadratic splits into one term
+per dimension, so each term is computed once per axis value and the terms
+are broadcast-added. Grid rows still equal paired rows bit for bit.
 """
 
 import math
@@ -68,30 +69,6 @@ def sum_sq_scaled(u, v, scale, out=None):
     return out
 
 
-def product_axes(grid):
-    """Per-dimension coordinates whose ij product lists `grid`'s rows, or None.
-
-    A (r ** dim, dim) grid is a product when column d, seen as an
-    (r, ..., r) array, repeats one axis of r values along its own index d
-    (`problems.grid_layout` builds its points this way). The column views
-    are compared against the axes in place, so no meshgrid is built.
-    """
-    g, dim = grid.shape
-    r = round(g ** (1.0 / dim)) if g else 0
-    if r ** dim != g or r == 0:
-        return None
-    axes = []
-    for d in range(dim):
-        column = grid[:, d].reshape((r,) * dim)
-        axis = column[(0,) * d + (slice(None),) + (0,) * (dim - d - 1)]
-        shape = [1] * dim
-        shape[d] = r
-        if not (column == axis.reshape(shape)).all():
-            return None
-        axes.append(axis.copy())
-    return axes
-
-
 def _rows(arr, dim, name):
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
@@ -115,6 +92,16 @@ def _point_sets(thetas, xs, dim_theta, dim_x):
         raise ValueError(f"xs must have shape ({thetas.shape[0]}, {dim_x}) for "
                          f"{thetas.shape[0]} point sets, got {xs.shape}")
     return thetas, xs
+
+
+def _grid_out(out, n, g):
+    """`out`, or a new (n, g) array; grid passes write through reshapes of
+    it, so a given `out` must be a C-contiguous (n, g) array."""
+    if out is None:
+        return np.empty((n, g))
+    if out.shape != (n, g) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous ({n}, {g}) array")
+    return out
 
 
 class Prior:
@@ -260,19 +247,18 @@ class NetworkPosterior:
             lp = self.log_density_graph(Value(thetas.reshape(-1, d)), emb)
         return lp.data.reshape(n, k)
 
-    def log_density_grid(self, grid, xs, out=None):
-        """(n_x, n_grid) log densities, written into `out` when one is given.
+    def log_density_grid(self, layout, xs, out=None):
+        """(n_x, len(layout)) log densities of the layout's points, written
+        into `out` when one is given.
 
         Each observation is embedded once, then the network runs over the
         n_x * n_grid rows in blocks of `ROW_BLOCK`, so its hidden
-        activations stay the same size whatever the grid. `out` must be
-        C-contiguous, as a leading slice of a grid audit's buffer is.
+        activations stay the same size whatever the grid.
         """
-        grid = _rows(grid, self.dim_theta, "grid")
+        grid = _rows(layout.points, self.dim_theta, "grid")
         emb = self.embed(xs)
         g = grid.shape[0]
-        if out is None:
-            out = np.empty((emb.shape[0], g))
+        out = _grid_out(out, emb.shape[0], g)
         # flat row r pairs grid row r % g with embedding r // g
         flat = out.reshape(-1)
         for r in range(0, flat.size, ROW_BLOCK):
@@ -418,42 +404,47 @@ class NpeFlow(NetworkPosterior):
             raise FloatingPointError("non-finite value in flow inverse pass")
         return base + logdet
 
-    def log_density_grid(self, grid, xs, out=None):
-        """(n_x, n_grid) log densities, written into `out` when one is given.
+    def log_density_grid(self, layout, xs, out=None):
+        """(n_x, len(layout)) log densities of the layout's points, written
+        into `out` when one is given.
 
         The grid runs in blocks of `ROW_BLOCK` rows, each block for every
         observation in turn, and each observation is embedded once. The
-        first inverse block conditions on one half of theta only: a grid
-        coordinate with `resolution` distinct values for 2-D theta, nothing
-        for 1-D. Its network therefore runs once per distinct value in a
-        block, and its s and shift are gathered onto the block's rows; the
+        first inverse block conditions on one half of theta only: grid
+        column c, whose values are `layout.axes[c]`, for 2-D theta, nothing
+        for 1-D. Its network therefore runs once per observation, on that
+        axis, and its s and shift are gathered onto each block's rows; the
         other blocks and the base density run on all rows. A row equals
         paired `log_density` bit for bit. Beyond two dimensions the halves
         have several columns and the paired-row surface is used.
         """
-        grid = _rows(grid, self.dim_theta, "grid")
         if self.dim_theta > 2:
-            return super().log_density_grid(grid, xs, out)
+            return super().log_density_grid(layout, xs, out)
+        grid = _rows(layout.points, self.dim_theta, "grid")
         emb = self.embed(xs)
-        if out is None:
-            out = np.empty((emb.shape[0], grid.shape[0]))
+        out = _grid_out(out, emb.shape[0], len(grid))
         parity, net = self.coupling[-1]
+        r = layout.resolution
+        # column `parity` (2-D) or no column (1-D); numpy's matmul sends a
+        # single row through gemv, whose sums may differ from gemm's in the
+        # last bit, so the network sees at least two rows
+        cond = layout.axes[parity][:, None] if self.dim_theta == 2 else np.empty((1, 0))
+        cond = np.resize(cond, (max(len(cond), 2), cond.shape[1]))
         with ad.no_grad():
-            for lo in range(0, grid.shape[0], ROW_BLOCK):
+            firsts = [self._scale_shift(net, Value(cond),
+                                        ad.repeat_rows(Value(e[None]), len(cond)))
+                      for e in emb]
+            for lo in range(0, len(grid), ROW_BLOCK):
                 theta = grid[lo:lo + ROW_BLOCK]
-                cond = theta[:, parity::2]          # one column or none
-                key = cond[:, 0] if cond.shape[1] else np.zeros(len(cond))
-                _, first, index = np.unique(key, return_index=True,
-                                            return_inverse=True)
-                # numpy's matmul sends a single row through gemv, whose sums
-                # may differ from gemm's in the last bit; two rows keep gemm
-                first = np.resize(first, max(first.size, 2))
-                for i in range(emb.shape[0]):
-                    e = Value(emb[i:i + 1])
-                    s, shift = self._scale_shift(net, Value(cond[first]),
-                                                 ad.repeat_rows(e, first.size))
+                rows = np.arange(lo, lo + len(theta))
+                # in ij order row i holds axis values (i // r, i % r)
+                if self.dim_theta == 1:
+                    index = np.zeros_like(rows)
+                else:
+                    index = rows // r if parity == 0 else rows % r
+                for i, (s, shift) in enumerate(firsts):
                     out[i, lo:lo + len(theta)] = self.log_density_graph(
-                        Value(theta), ad.repeat_rows(e, len(theta)),
+                        Value(theta), ad.repeat_rows(Value(emb[i:i + 1]), len(theta)),
                         (ad.gather_rows(s, index), ad.gather_rows(shift, index))
                     ).data[:, 0]
         return out
@@ -485,7 +476,6 @@ class GaussianLinearPosterior:
         self.dim_theta = dim
         self.coef = 1.0 / (1.0 + noise_sigma ** 2)
         self.std = math.sqrt(noise_sigma ** 2 / (1.0 + noise_sigma ** 2)) * scale_factor
-        self._grid = None
 
     def log_density(self, theta, x):
         theta = _rows(theta, self.dim_theta, "theta")
@@ -499,33 +489,24 @@ class GaussianLinearPosterior:
         thetas, xs = _point_sets(thetas, xs, self.dim_theta, self.dim_theta)
         return self._finish(sum_sq_scaled(thetas, self.coef * xs[:, None], self.std))
 
-    def log_density_grid(self, grid, xs, out=None):
-        """(n_x, n_grid) log densities, written into `out` when one is given.
+    def log_density_grid(self, layout, xs, out=None):
+        """(n_x, len(layout)) log densities of the layout's points, written
+        into `out` when one is given.
 
         The quadratic is summed one dimension at a time as
         ((theta_d - coef x_d) / std)^2, the form `log_density` uses, so a
         grid row equals the paired rows bit for bit and no |grid|^2 term is
-        computed. On a product grid (`product_axes`) each term is computed
-        once per axis value and the terms are broadcast-added into `out`;
-        other point sets take every term on every row. Whether the grid is
-        a product is kept for the last grid array passed, as
-        `problems.LikelihoodPosterior` keeps its grid terms.
+        computed. Each term is computed once per value of its axis
+        (`layout.axes`) and the terms are broadcast-added into `out`.
         """
-        grid = _rows(grid, self.dim_theta, "grid")
+        _rows(layout.points, self.dim_theta, "grid")
         xs = _rows(xs, self.dim_theta, "xs")
-        if self._grid is None or self._grid[0] is not grid:
-            self._grid = (grid, product_axes(grid))
-        axes = self._grid[1]
-        if out is None:
-            out = np.empty((xs.shape[0], grid.shape[0]))
-        if axes is None or not out.flags.c_contiguous:     # reshape would copy
-            return self._finish(sum_sq_scaled(grid[None], self.coef * xs[:, None],
-                                              self.std, out))
+        n, r, dim = xs.shape[0], layout.resolution, self.dim_theta
+        out = _grid_out(out, n, len(layout))
         # out[i] seen as (r, ..., r): axis d's term varies along index d only
-        n, r, dim = xs.shape[0], axes[0].size, self.dim_theta
         cube = out.reshape((n,) + (r,) * dim)
         total = None
-        for d, axis in enumerate(axes):
+        for d, axis in enumerate(layout.axes):
             term = axis - self.coef * xs[:, d:d + 1]                # (n, r)
             term /= self.std
             term *= term

@@ -18,7 +18,7 @@ Gaussian mixtures (0.7/0.3 weights).
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -267,18 +267,18 @@ class LikelihoodPosterior:
         return self._log_joint(p.prior.log_density(rows).reshape(n, k),
                                p.mean_fn(rows).reshape(n, k, p.dim_x), xs[:, None])
 
-    def log_density_grid(self, grid, xs, out=None):
-        """(n_x, n_grid) log joint densities, written into `out` when given.
+    def log_density_grid(self, layout, xs, out=None):
+        """(n_x, len(layout)) log joint densities of the layout's points,
+        written into `out` when given.
 
-        The grid's log prior and simulator means are kept for the last grid
-        array passed, so the chunks of one grid audit compute them once; a
-        grid edited in place is not seen. Only `ecp_grid_hpdr`, which passes
-        one fresh grid array per call, relies on this; the terms (about
-        G * (1 + dim_x) floats) live as long as the posterior.
+        The points' log prior and simulator means are kept for the last
+        layout passed, so the chunks of one grid audit compute them once;
+        the terms (about G * (1 + dim_x) floats) live as long as the
+        posterior.
         """
-        if self._grid is None or self._grid[0] is not grid:
-            rows = _rows(grid, self.dim_theta, "grid")
-            self._grid = (grid, self.problem.prior.log_density(rows)[None, :],
+        if self._grid is None or self._grid[0] is not layout:
+            rows = _rows(layout.points, self.dim_theta, "grid")
+            self._grid = (layout, self.problem.prior.log_density(rows)[None, :],
                           self.problem.mean_fn(rows)[None])
         _, log_prior, means = self._grid
         xs = _rows(xs, self.problem.dim_x, "xs")
@@ -298,16 +298,27 @@ def oracle_posterior(problem):
 
 @dataclass
 class GridLayout:
-    """Regular cell-centred grid over a problem's parameter box (dim <= 2).
+    """Regular cell-centred grid over a problem's parameter box.
 
-    `points` lists the cell centres flattened in ij order (the first
-    dimension varies slowest); `cell_index` maps parameters onto that same
-    flat order.
+    `axes` holds each dimension's `resolution` cell centres and `points`
+    their product, flattened in ij order (the first dimension varies
+    slowest); `cell_index` maps parameters onto that same flat order.
+    `len(layout)` is the cell count. A posterior's `log_density_grid` takes
+    the layout itself, so it can work per axis value where its density
+    allows.
     """
 
     bounds: list         # (lo, hi) per dimension
     resolution: int
-    points: np.ndarray   # (resolution ** dim, dim)
+    axes: list           # (resolution,) cell centres per dimension
+    points: np.ndarray = field(init=False)     # (resolution ** dim, dim)
+
+    def __post_init__(self):
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        self.points = np.stack([c.ravel() for c in mesh], axis=1)
+
+    def __len__(self):
+        return len(self.points)
 
     @property
     def shape(self):
@@ -335,9 +346,7 @@ def grid_layout(problem, resolution):
             bounds.append((mean - 8.0 * scale, mean + 8.0 * scale))
     centers = [lo + (hi - lo) / resolution * (np.arange(resolution) + 0.5)
                for lo, hi in bounds]
-    points = np.stack([c.ravel() for c in np.meshgrid(*centers, indexing="ij")],
-                      axis=1)
-    return GridLayout(bounds, resolution, points)
+    return GridLayout(bounds, resolution, centers)
 
 
 # -- 1D mixture demo densities --------------------------------------------------

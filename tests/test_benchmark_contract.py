@@ -154,6 +154,21 @@ def test_traced_oracle_grid_audit_counts_pairs_times_cells_density_rows():
     assert "diagnostics.grid_hpdr" in rec.names
 
 
+def test_traced_oracle_grid_span_rows_sum_to_pairs_times_cells():
+    # the span's row count reads len() of its first two arguments, the grid
+    # layout and the observations; summed, that is pairs x cells
+    for dim, resolution in ((1, 40), (2, 24)):
+        problem = get_problem("gaussian-linear", dim=dim)
+        ds = simulate_dataset(problem, 7, seed=1)
+        rec = spans.Recorder()
+        with _installed(rec):
+            diagnostics.ecp_grid_hpdr(analytic_posterior(problem), ds.thetas, ds.xs,
+                                      problem, resolution=resolution)
+        counts = spans.summarize(rec, "diagnostics.grid_hpdr", resolution)["counts"]
+        assert counts["grid_pairs"] == 7
+        assert counts["density_rows"] == 7 * resolution ** dim
+
+
 def test_traced_flow_grid_audit_embeds_each_observation_once():
     # eval-flow's estimators.embed_rows_per_obs reads the estimators.embed
     # spans inside diagnostics.grid_hpdr

@@ -93,6 +93,27 @@ def test_missing_dataset_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["eval-data-dir", "simulate-out-dir",
+                                  "eval-out-dir-file"])
+def test_a_directory_or_file_in_the_wrong_place_exits_two(data_file, tmp_path,
+                                                          capsys, case):
+    directory, file = tmp_path / "adir", tmp_path / "afile"
+    directory.mkdir()
+    file.write_text("")
+    argv, path = {
+        "eval-data-dir": (["eval", "--oracle", "--data", str(directory),
+                           "--out-dir", str(tmp_path / "e")], directory),
+        "simulate-out-dir": (["simulate", "--n", "4", "--out", str(directory)],
+                             directory),
+        "eval-out-dir-file": (["eval", "--oracle", "--data", data_file,
+                               "--L", "8", "--out-dir", str(file)], file),
+    }[case]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_eval_oracle_curve_sits_on_diagonal(data_file, tmp_path, capsys):
     out = tmp_path / "eval"
     code = run(["eval", "--oracle", "--data", data_file, "--ecp", "rank",
@@ -212,8 +233,9 @@ def test_eval_oracle_on_nonlinear_problem_writes_both_curves(tmp_path, capsys):
     (["--oracle", "--level-min", "0.6", "--level-max", "0.4"], "levels"),
     (["--oracle", "--checkpoint", "model.calc"], "exactly one"),
     ([], "exactly one"),
+    (["--oracle", "--seed", "-1"], "expected non-negative integer"),
 ], ids=["sbc-bins-1", "level-min-negative", "level-max-above-one",
-        "levels-decreasing", "oracle-and-checkpoint", "neither"])
+        "levels-decreasing", "oracle-and-checkpoint", "neither", "seed-negative"])
 def test_eval_bad_flags_exit_two_before_any_output(data_file, tmp_path, capsys,
                                                    flags, message):
     out = tmp_path / "e"

@@ -281,7 +281,7 @@ def test_row_blocks_that_split_pairs_leave_coverage_statistics_unchanged(
         calls[-1].append(x.data.shape[0])
         return dense(x, w, b, selu)
 
-    # every layer of every network, the flow grid pass's distinct values included
+    # every layer of every network, the flow grid pass's run on one axis included
     monkeypatch.setattr(estimators, "dense", recording)
     calls.clear()
     blocked = statistics()

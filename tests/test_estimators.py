@@ -9,7 +9,7 @@ from calsbi import estimators
 from calsbi.autodiff import Value, concat
 from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, NreModel, Prior,
                                build_model)
-from calsbi.problems import LikelihoodPosterior, get_problem
+from calsbi.problems import GridLayout, LikelihoodPosterior, get_problem, grid_layout
 
 from conftest import PriorAsPosterior, RowCounter, assert_close_rel, finite_difference
 
@@ -343,23 +343,62 @@ def test_point_sets_of_the_wrong_shape_are_rejected():
         assert posterior.log_density_sets(sets, xs).shape == (3, 4)
 
 
-@pytest.mark.parametrize("dim,blocks", [(1, 2), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("dim,blocks", itertools.product([1, 2, 3], [2, 3]))
 def test_flow_grid_rows_equal_paired_rows_bit_for_bit(monkeypatch, dim, blocks):
     r = np.random.default_rng(50 + dim * 10 + blocks)
     flow = NpeFlow(dim_theta=dim, dim_x=3, rng=r, last_scale=0.5, blocks=blocks)
     side = np.linspace(-3.0, 3.0, {1: 2500, 2: 64, 3: 16}[dim])
-    grid = np.stack([c.ravel() for c in np.meshgrid(*[side] * dim, indexing="ij")],
-                    axis=1)
+    layout = GridLayout([(-3.0, 3.0)] * dim, side.size, [side] * dim)
+    grid = layout.points
     xs = r.standard_normal((3, 3))
     # 1,000-row blocks split the 2,500- to 4,096-row grid unevenly
     monkeypatch.setattr(estimators, "ROW_BLOCK", 1000)
     counter = RowCounter(flow)
     buf = np.full((4, len(grid)), np.nan)
-    rows = flow.log_density_grid(grid, xs, out=buf[:3])
+    rows = flow.log_density_grid(layout, xs, out=buf[:3])
     assert rows.base is buf and counter.embed_rows == 3
     for x, row in zip(xs, rows):
         np.testing.assert_array_equal(
             row, flow.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
+    # grid passes write through reshapes of `out`
+    with pytest.raises(ValueError, match="C-contiguous"):
+        flow.log_density_grid(layout, xs, out=np.empty((len(grid), 3)).T)
+
+
+class _CountedNet:
+    """A coupling network that records the conditioning columns it is run on."""
+
+    def __init__(self, net, n_cond):
+        self.net, self.n_cond, self.inputs = net, n_cond, []
+
+    def __call__(self, v):
+        self.inputs.append(v.data[:, :self.n_cond].copy())
+        return self.net(v)
+
+
+@pytest.mark.parametrize("dim,blocks,column", [(1, 2, None), (2, 2, 1), (2, 3, 0)])
+def test_flow_grid_runs_its_first_inverse_block_once_per_observation(
+        monkeypatch, dim, blocks, column):
+    # the 2-block flow's first inverse block conditions on grid column 1,
+    # the 3-block flow's on column 0, a 1-D flow's on the embedding alone
+    problem = get_problem("gaussian-linear", dim=dim)
+    layout = grid_layout(problem, 64)
+    flow = NpeFlow(dim, dim, rng=np.random.default_rng(51), last_scale=0.5,
+                   blocks=blocks)
+    parity, net = flow.coupling[-1]
+    counted = _CountedNet(net, 0 if column is None else 1)
+    flow.coupling[-1] = (parity, counted)
+    xs = np.random.default_rng(52).standard_normal((3, dim))
+    for row_block in (estimators.ROW_BLOCK, 1000, 100):
+        monkeypatch.setattr(estimators, "ROW_BLOCK", row_block)
+        counted.inputs.clear()
+        flow.log_density_grid(layout, xs)
+        assert len(counted.inputs) == 3, row_block
+        for cond in counted.inputs:
+            if column is None:
+                assert cond.shape == (2, 0)
+            else:
+                np.testing.assert_array_equal(cond[:, 0], layout.axes[column])
 
 
 def test_flow_density_integrates_to_one_on_grid(rng):

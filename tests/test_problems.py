@@ -1,13 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from calsbi.estimators import (GaussianLinearPosterior, NpeFlow, NreModel,
-                               product_axes)
-from calsbi.problems import (Dataset, LikelihoodPosterior, analytic_posterior,
-                             get_problem, grid_layout, load_dataset,
-                             mixture_demo_densities, oracle_posterior,
+from calsbi.estimators import GaussianLinearPosterior, NpeFlow, NreModel
+from calsbi.problems import (Dataset, GridLayout, LikelihoodPosterior,
+                             analytic_posterior, get_problem, grid_layout,
+                             load_dataset, mixture_demo_densities, oracle_posterior,
                              problem_for, problem_for_dataset,
                              simulate_dataset, MIXTURE_BLACK_SIGMAS,
                              MIXTURE_RED_SIGMAS, MIXTURE_WEIGHTS)
@@ -204,11 +204,11 @@ def test_grid_matches_analytic_oracle_at_cell_centers():
     joint = LikelihoodPosterior(problem)
     assert not joint.normalized
     xs = np.array([[0.6, -0.9], [0.0, 0.0], [-2.5, 1.7]])
-    points = grid_layout(problem, 128).points
-    diff = joint.log_density_grid(points, xs) - analytic.log_density_grid(points, xs)
+    layout = grid_layout(problem, 128)
+    diff = joint.log_density_grid(layout, xs) - analytic.log_density_grid(layout, xs)
     assert np.max(diff.max(axis=1) - diff.min(axis=1)) <= 1e-9
-    paired = joint.log_density(points, np.repeat(xs[:1], points.shape[0], axis=0))
-    np.testing.assert_array_equal(paired, joint.log_density_grid(points, xs[:1])[0])
+    paired = joint.log_density(layout.points, np.repeat(xs[:1], len(layout), axis=0))
+    np.testing.assert_array_equal(paired, joint.log_density_grid(layout, xs[:1])[0])
 
 
 def test_nonlinear_posterior_is_bimodal_in_sign():
@@ -216,8 +216,8 @@ def test_nonlinear_posterior_is_bimodal_in_sign():
     oracle = oracle_posterior(problem)
     assert isinstance(oracle, LikelihoodPosterior)
     layout = grid_layout(problem, 256)
-    log_dens = oracle.log_density_grid(layout.points,
-                                       np.array([[1.0, 1.0]])).reshape(layout.shape)
+    log_dens = oracle.log_density_grid(layout, np.array([[1.0, 1.0]]))
+    log_dens = log_dens.reshape(layout.shape)
     # strict local maxima over the 8 neighbours, -inf beyond the grid edge
     pad = np.pad(log_dens, 1, constant_values=-np.inf)
     core = pad[1:-1, 1:-1]
@@ -236,10 +236,15 @@ def test_grid_log_density_is_minus_inf_outside_bounds():
     thetas = np.array([[4.0, 0.0], [0.5, -3.5], [0.5, 0.5]])
     x = np.array([[1.0, 1.0]])
     rows = oracle.log_density(thetas, np.repeat(x, 3, axis=0))
-    grid = oracle.log_density_grid(thetas, x)[0]
-    for ld in (rows, grid):
+    sets = oracle.log_density_sets(thetas[None], x)[0]
+    for ld in (rows, sets):
         assert ld[0] == ld[1] == -np.inf
         assert np.isfinite(ld[2])
+    # a layout reaching past the +-3 box: only its centre cell is inside
+    layout = GridLayout([(-5.25, 5.25)] * 2, 3, [np.array([-3.5, 0.0, 3.5])] * 2)
+    grid = oracle.log_density_grid(layout, x)[0]
+    np.testing.assert_array_equal(np.isfinite(grid), np.arange(9) == 4)
+    assert np.isneginf(grid[np.arange(9) != 4]).all()
 
 
 def test_likelihood_oracle_rejects_mis_shaped_rows():
@@ -250,12 +255,12 @@ def test_likelihood_oracle_rejects_mis_shaped_rows():
         oracle.log_density(np.zeros((2, 4)), np.ones((4, 2)))
     with pytest.raises(ValueError, match="x must"):
         oracle.log_density(np.zeros((2, 2)), np.ones((1, 4)))
-    points = grid_layout(problem, 8).points
+    layout = grid_layout(problem, 8)
     with pytest.raises(ValueError, match="xs must"):
-        oracle.log_density_grid(points, np.ones((2, 4)))
+        oracle.log_density_grid(layout, np.ones((2, 4)))
     with pytest.raises(ValueError, match="grid must"):
-        LikelihoodPosterior(problem).log_density_grid(points.reshape(-1, 4),
-                                                      np.ones((1, 2)))
+        LikelihoodPosterior(problem).log_density_grid(
+            grid_layout(get_problem("gaussian-linear", dim=1), 8), np.ones((1, 2)))
 
 
 GRID_ORACLES = {
@@ -279,68 +284,74 @@ def test_grid_density_written_into_a_buffer_equals_the_fresh_return(name):
     oracle = make_oracle(problem)
     ds = simulate_dataset(problem, 5, seed=44)
     # in 2-D, 5 * 48^2 rows span two network row blocks, the first ending in a pair
-    points = grid_layout(problem, 48).points
-    fresh = oracle.log_density_grid(points, ds.xs)
-    paired = oracle.log_density(np.tile(points, (5, 1)),
-                                np.repeat(ds.xs, len(points), axis=0))
+    layout = grid_layout(problem, 48)
+    fresh = oracle.log_density_grid(layout, ds.xs)
+    paired = oracle.log_density(np.tile(layout.points, (5, 1)),
+                                np.repeat(ds.xs, len(layout), axis=0))
     np.testing.assert_allclose(fresh.reshape(-1), paired, rtol=0, atol=1e-12)
     # a slice of a larger buffer holding stale values, as a grid audit passes it
-    buf = np.full((8, len(points)), np.nan)
-    filled = oracle.log_density_grid(points, ds.xs, out=buf[:5])
+    buf = np.full((8, len(layout)), np.nan)
+    filled = oracle.log_density_grid(layout, ds.xs, out=buf[:5])
     assert filled.base is buf
     np.testing.assert_array_equal(buf[:5], fresh)
     assert np.isnan(buf[5:]).all()
-    # a second grid array is evaluated afresh, not from the first grid's
-    # terms: another resolution, a shifted grid of the same shape, and the
-    # same points in another row order
-    shuffled = points[np.random.default_rng(46).permutation(len(points))]
-    for other in (grid_layout(problem, 20).points, points + 0.25, shuffled):
+    # a second layout is evaluated afresh, not from the first layout's
+    # terms: another resolution, and a shifted layout of the same shape
+    shifted = dataclasses.replace(layout, axes=[a + 0.25 for a in layout.axes])
+    for other in (grid_layout(problem, 20), shifted):
         np.testing.assert_array_equal(oracle.log_density_grid(other, ds.xs),
                                       make_oracle(problem).log_density_grid(other, ds.xs))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_gaussian_oracle_grid_rows_equal_paired_rows_bit_for_bit(dim):
-    # product grids take the per-axis terms, other point sets every term on
-    # every row; both equal paired rows
+    # layouts take the per-axis terms, other point sets go through
+    # log_density_sets; both equal paired rows
     problem = get_problem("gaussian-linear", dim=dim)
     oracle = GaussianLinearPosterior(noise_sigma=0.5, dim=dim, scale_factor=1.3)
     rng = np.random.default_rng(45)
     for points in ("grid-1", "grid-7", "grid-64", "shuffled", "thetas"):
-        if points.startswith("grid-"):
-            grid = grid_layout(problem, int(points[5:])).points
-        elif points == "shuffled":
-            grid = grid_layout(problem, 7).points
-            grid = grid[rng.permutation(len(grid))]
-        else:
-            grid = simulate_dataset(problem, 300, seed=45).thetas
-        is_grid = points.startswith("grid-") or dim == 1
-        assert (product_axes(grid) is not None) == is_grid, points
         xs = 3.0 * rng.standard_normal((4, dim))
-        rows = oracle.log_density_grid(grid, xs)
+        if points.startswith("grid-"):
+            layout = grid_layout(problem, int(points[5:]))
+            grid = layout.points
+            rows = oracle.log_density_grid(layout, xs)
+            # grid passes write through reshapes of `out`
+            buf = np.full((4, 2 * len(grid)), np.nan)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                oracle.log_density_grid(layout, xs, out=buf[:, ::2])
+        else:
+            if points == "shuffled":
+                grid = grid_layout(problem, 7).points
+                grid = grid[rng.permutation(len(grid))]
+            else:
+                grid = simulate_dataset(problem, 300, seed=45).thetas
+            rows = oracle.log_density_sets(np.broadcast_to(grid, (4,) + grid.shape), xs)
         for x, row in zip(xs, rows):
             np.testing.assert_array_equal(
                 row, oracle.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
-        # a buffer that is not C-contiguous is written too
-        buf = np.full((4, 2 * len(grid)), np.nan)
-        oracle.log_density_grid(grid, xs, out=buf[:, ::2])
-        np.testing.assert_array_equal(buf[:, ::2], rows)
 
 
-def test_product_axes_finds_the_grid_coordinates_and_rejects_other_point_sets():
+def test_grid_layout_points_are_the_ij_product_of_its_axes():
     layout = grid_layout(get_problem("nonlinear-2d"), 9)
-    axes = product_axes(layout.points)
     centers = np.unique(layout.points[:, 0])
-    assert len(axes) == 2
-    np.testing.assert_array_equal(axes[0], centers)
-    np.testing.assert_array_equal(axes[1], centers)
-    cube = grid_layout(get_problem("gaussian-linear", dim=3), 4).points
-    assert [a.size for a in product_axes(cube)] == [4, 4, 4]
-    rng = np.random.default_rng(47)
-    assert product_axes(layout.points[rng.permutation(81)]) is None
-    assert product_axes(layout.points[:80]) is None               # not a square
-    assert product_axes(layout.points[:, ::-1]) is None            # xy order
-    assert product_axes(rng.uniform(size=(81, 2))) is None
+    assert len(layout.axes) == 2 and len(layout) == 81
+    np.testing.assert_array_equal(layout.axes[0], centers)
+    np.testing.assert_array_equal(layout.axes[1], centers)
+    # ij order: the first coordinate varies slowest
+    np.testing.assert_array_equal(layout.points[:, 0].reshape(9, 9),
+                                  np.repeat(centers[:, None], 9, axis=1))
+    np.testing.assert_array_equal(layout.points[:, 1].reshape(9, 9),
+                                  np.repeat(centers[None], 9, axis=0))
+    # every cell centre lies in its own cell
+    cells, inside = layout.cell_index(layout.points)
+    np.testing.assert_array_equal(cells, np.arange(81))
+    assert inside.all()
+    cube = grid_layout(get_problem("gaussian-linear", dim=3), 4)
+    assert [a.size for a in cube.axes] == [4, 4, 4] and len(cube) == 64
+    # points follow the axes they are built from
+    shifted = dataclasses.replace(layout, axes=[a + 0.5 for a in layout.axes])
+    np.testing.assert_array_equal(shifted.points, layout.points + 0.5)
 
 
 # -- mixture demo densities --------------------------------------------------------
