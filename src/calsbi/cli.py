@@ -179,9 +179,9 @@ def cmd_eval(args):
 
 def cmd_demo(args):
     start = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
     report = diagnostics.mixture_demo(n_samples=args.n, level=args.level,
                                       seed=args.seed, self_test=args.self_test)
+    os.makedirs(args.out_dir, exist_ok=True)
     black, red = mixture_demo_densities()
     span = np.linspace(-5.0, 6.0, 1101)
     with open(os.path.join(args.out_dir, "densities.csv"), "w") as f:
@@ -273,8 +273,10 @@ def build_parser():
     p.add_argument("--level-min", type=float, default=0.05)
     p.add_argument("--level-max", type=float, default=0.95)
     p.add_argument("--ecp", choices=("rank", "grid", "both"), default="rank")
-    p.add_argument("--L", dest="num_samples", type=positive_int, default=1024)
-    p.add_argument("--grid-res", type=positive_int, default=512)
+    p.add_argument("--L", dest="num_samples", type=positive_int,
+                   default=diagnostics.DEFAULT_EVAL_SAMPLES)
+    p.add_argument("--grid-res", type=positive_int,
+                   default=diagnostics.DEFAULT_GRID_RESOLUTION)
     p.add_argument("--sbc-bins", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)

@@ -8,12 +8,13 @@ strictly below the density at theta*:
     w_j = p(theta_j|x*) / I(theta_j|x*),   theta_j ~ proposal I.
 
 The proposal is the prior (`PriorProposal`) in training and by default in
-evaluation, or a posterior that samples (`DensityProposal`). The rank
-statistics take the caller's block: the draws and the (n, 1 + L) log
-densities at each pair's nominal parameter and its draws. A training
-step's base loss builds it in the step's one graph call
-(`stacked_log_density`); the rank audit builds it with the posterior's
-numpy `log_density_sets`.
+evaluation, or a posterior that samples (`DensityProposal`). Its draws stay
+(n, L, d) point sets, one per pair: `sample_batch` returns them and
+`log_density_rows` maps them to (n, L) log densities. The rank statistics
+take the caller's block: the draws and the (n, 1 + L) log densities at each
+pair's nominal parameter and its draws. A training step's base loss builds
+it in the step's one graph call (`stacked_log_density`); the rank audit
+builds it with the posterior's numpy `log_density_sets`.
 
 A calibrated model produces uniformly distributed rank statistics, so the
 regularizer drives the batch of alphas toward the uniform order statistics
@@ -101,9 +102,10 @@ def ste_indicator(u, temperature=1.0):
 class DensityProposal:
     """A posterior that samples, as the importance-sampling proposal.
 
-    The density supplies `sample_batch(xs, rng, count)`, (n, count, d)
-    draws, and `log_density_sets`, which evaluates each observation's draws
-    under it as the rank audit evaluates the audited posterior.
+    The draws stay the (n, count, d) sets that the density's
+    `sample_batch(xs, rng, count)` returns: `log_density_rows` hands them
+    unchanged to its `log_density_sets`, the call the rank audit makes on
+    the audited posterior.
     """
 
     def __init__(self, density):
@@ -112,11 +114,9 @@ class DensityProposal:
     def sample_batch(self, xs, rng, count):
         return self.density.sample_batch(xs, rng, count)
 
-    def log_density_rows(self, thetas, xs):
-        """Log densities of the n * L draw rows, L consecutive per x."""
-        count = _draws_per_observation(thetas, xs)
-        sets = np.reshape(thetas, (len(xs), count, -1))
-        return self.density.log_density_sets(sets, xs).reshape(-1)
+    def log_density_rows(self, draws, xs):
+        """(n, L) log densities of the (n, L, d) draws, set i under xs[i]."""
+        return self.density.log_density_sets(draws, xs)
 
 
 class PriorProposal:
@@ -130,19 +130,10 @@ class PriorProposal:
         n = len(xs)
         return self.prior.sample(rng, n * count).reshape(n, count, self.prior.dim)
 
-    def log_density_rows(self, thetas, xs):
-        """The prior's log densities of the n * L draw rows; x is not read."""
-        _draws_per_observation(thetas, xs)
-        return self.prior.log_density(thetas)
-
-
-def _draws_per_observation(thetas, xs):
-    """L, for n * L draw rows over n observations; ValueError if they do not split."""
-    count, rest = divmod(len(thetas), len(xs))
-    if rest:
-        raise ValueError(f"{len(thetas)} draw rows do not split evenly over "
-                         f"{len(xs)} observations")
-    return count
+    def log_density_rows(self, draws, xs):
+        """(n, L) prior log densities of the (n, L, d) draws; x is not read."""
+        n, count, d = draws.shape
+        return self.prior.log_density(draws.reshape(-1, d)).reshape(n, count)
 
 
 def rank_statistic_core(lp_star, lp_draws, log_prop, temperature=1.0):
@@ -194,24 +185,18 @@ def stacked_log_density(model, emb, thetas, draws):
         Value(rows), repeat_rows(emb, count + 1)).reshape(n, count + 1)
 
 
-def rank_statistics(thetas, xs, num_samples, proposal, block, temperature=1.0):
+def rank_statistics(xs, proposal, block, temperature=1.0):
     """Batched differentiable rank statistics (one per (theta, x) row).
 
     `block` is the (draws (n, L, d), log densities Value (n, 1 + L)) pair
     of a forward pass the caller has made: column 0 at the nominal
     parameter, columns 1: at the draws. `proposal`, a `PriorProposal` or
-    `DensityProposal`, drew the draws and supplies their proposal
-    densities. Rows whose importance weights all vanish are flagged
-    degenerate and pinned to alpha = 0.
+    `DensityProposal`, drew the draws under the observations `xs` and
+    supplies their proposal densities. Rows whose importance weights all
+    vanish are flagged degenerate and pinned to alpha = 0.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    thetas = np.asarray(thetas, dtype=np.float64)
-    xs = np.asarray(xs, dtype=np.float64)
-    n, d = thetas.shape
     draws, lp = block
-    log_prop = proposal.log_density_rows(
-        draws.reshape(n * num_samples, d), xs).reshape(n, num_samples)
+    log_prop = proposal.log_density_rows(draws, xs)
     alpha, degenerate = rank_statistic_core(lp[:, :1], lp[:, 1:], log_prop,
                                             temperature)
     return RankStatisticBatch(values=alpha, degenerate=degenerate)
@@ -277,18 +262,16 @@ def direct_loss(values, levels=DEFAULT_LEVELS, mode="calibration", temperature=1
     return gap.square().sum()
 
 
-def regularizer(thetas, xs, config, prior, block):
+def regularizer(xs, config, prior, block):
     """Regularizer loss over a batch, per the training-time recipe.
 
     `block` is the base loss's (prior draws, log densities), which
     `rank_statistics` takes. Returns (loss Value, RankStatisticBatch); the
     batch carries degeneracy counts so the trainer can surface warnings.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.shape[0] < 2:
+    if len(block[0]) < 2:
         raise ValueError("regularizer needs a batch of >= 2 pairs")
-    batch = rank_statistics(thetas, xs, config.num_samples, PriorProposal(prior),
-                            block, config.temperature)
+    batch = rank_statistics(xs, PriorProposal(prior), block, config.temperature)
     if config.loss_form == "sorting":
         loss = sorting_loss(batch.values, config.mode, config.sort_relaxation)
     else:

@@ -106,8 +106,11 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
     """Hard-indicator rank statistics for every test pair, chunk-vectorized.
 
     `proposal` is a `covreg.PriorProposal` or `covreg.DensityProposal`.
-    One `log_density_sets` call per chunk evaluates each pair's nominal
-    parameter followed by its L draws (`covreg.stacked_points`). The chunk
+    Its draws stay (chunk, L, d) point sets throughout: one
+    `log_density_sets` call per chunk evaluates each pair's nominal
+    parameter followed by its L draws (`covreg.stacked_points`), and the
+    proposal's `log_density_rows` and `covreg.rank_statistics` take the
+    same sets. The chunk
     of pairs defaults to one row block of density rows
     (`estimators.ROW_BLOCK`, L + 1 rows a pair), so eval memory does not
     grow with the number of pairs.
@@ -152,8 +155,7 @@ def rank_statistic_sample(posterior, thetas, xs, num_samples, proposal, rng,
             draws = proposal.sample_batch(xs[lo:hi], rng, num_samples)
         t, x = thetas[lo:hi], xs[lo:hi]
         lp = posterior.log_density_sets(covreg.stacked_points(t, draws), x)
-        batch = covreg.rank_statistics(t, x, num_samples, proposal,
-                                       (draws, ad.Value(lp)))
+        batch = covreg.rank_statistics(x, proposal, (draws, ad.Value(lp)))
         out[lo:hi] = batch.values.data[:, 0]
         return True     # the chunk's arrays are released here, before the next
 

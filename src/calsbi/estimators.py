@@ -5,27 +5,29 @@ unnormalized), a conditional coupling-flow density model (normalized, exact
 sampling), and the conjugate Gaussian oracle for the linear-Gaussian
 problem (`problems.LikelihoodPosterior` is the other oracle).
 
-Every posterior answers three numpy calls: `log_density(theta, x)` on
-paired rows; `log_density_sets(thetas, xs)`, (n, k, d) parameters with
-(n, dx) observations to (n, k), set i under observation i, which the rank
-audit calls; and `log_density_grid(layout, xs)`, every observation on the
-points of one `problems.GridLayout`, the ij product of its per-dimension
-`axes`. The trained models (`NetworkPosterior`) also have a graph
-surface, `embed_graph` / `log_density_graph` on autodiff Values, for
-training. Their numpy calls are that graph run under `no_grad`, each
-observation embedded once, so the surfaces agree bit for bit; the oracles
-broadcast each observation over its points. A set's rows equal paired
-rows bit for bit. The prior's density and its draws work one column
-at a time, with the operations of the broadcast formulas in the same
-order, so they agree with those formulas bit for bit, off the prior's
-support (-inf) included.
+Every posterior answers three numpy calls on one shape, the point set:
+`log_density_sets(thetas, xs)` takes (n, k, d) parameters with (n, dx)
+observations to (n, k), set i under observation i, as the rank audit calls
+it; `log_density(theta, x)` on paired rows is that call on sets of one
+(`Posterior`); and `log_density_grid(layout, xs)` evaluates every
+observation on the points of one `problems.GridLayout`, the ij product of
+its per-dimension `axes`. The trained models (`NetworkPosterior`) also
+have a graph surface, `embed_graph` / `log_density_graph` on autodiff
+Values, for training. Their numpy calls are that graph run under
+`no_grad`, each observation embedded once, so the surfaces agree bit for
+bit; the oracles broadcast each observation over its points. The prior's
+density and its draws work one column at a time, with the operations of
+the broadcast formulas in the same order, so they agree with those
+formulas bit for bit, off the prior's support (-inf) included.
 
-Grid passes read the layout's axes instead of rediscovering them. The
-flow's first inverse block sees one grid coordinate, so its network runs
-once per observation on that coordinate's axis and the result is gathered
-onto the grid rows. The Gaussian oracle's quadratic splits into one term
-per dimension, so each term is computed once per axis value and the terms
-are broadcast-added. Grid rows still equal paired rows bit for bit.
+Grid passes read the layout's axes instead of rediscovering them. Both
+trained models run one grid loop, per observation over `ROW_BLOCK` slices
+of the points, each slice's graph from `_grid_rows`. The flow's first
+inverse block sees one grid coordinate, so its network runs once per
+observation on that coordinate's axis and the result is gathered onto the
+slice's rows. The Gaussian oracle's quadratic splits into one term per
+dimension, so each term is computed once per axis value and the terms are
+broadcast-added. Grid rows equal paired rows bit for bit.
 """
 
 import math
@@ -213,12 +215,22 @@ class Mlp:
         return v
 
 
-class NetworkPosterior:
+class Posterior:
+    """Paired rows as point sets of one: a subclass defines `dim_theta`,
+    `dim_x` and `log_density_sets`, and `log_density` calls it."""
+
+    def log_density(self, theta, x):
+        theta = _rows(theta, self.dim_theta, "theta")
+        x = _rows(x, self.dim_x, "x")
+        return self.log_density_sets(theta[:, None], x)[:, 0]
+
+
+class NetworkPosterior(Posterior):
     """The surface both trained models share.
 
     A subclass builds `x_net`, the observation embedding, and defines
-    `log_density_graph`; the numpy surface, paired rows, point sets and the
-    grid of a coverage audit alike, is that graph run under no_grad.
+    `log_density_graph`; the numpy surface, point sets and the grid of a
+    coverage audit alike, is that graph run under no_grad.
     """
 
     def embed_graph(self, x):
@@ -228,14 +240,6 @@ class NetworkPosterior:
         x = _rows(x, self.dim_x, "x")
         with ad.no_grad():
             return self.embed_graph(Value(x)).data
-
-    def log_density_from_embedding(self, theta, x_emb):
-        theta = _rows(theta, self.dim_theta, "theta")
-        with ad.no_grad():
-            return self.log_density_graph(Value(theta), Value(x_emb)).data[:, 0]
-
-    def log_density(self, theta, x):
-        return self.log_density_from_embedding(theta, self.embed(x))
 
     def log_density_sets(self, thetas, xs):
         """(n, k) log densities of n sets of k parameters, set i under xs[i];
@@ -251,21 +255,28 @@ class NetworkPosterior:
         """(n_x, len(layout)) log densities of the layout's points, written
         into `out` when one is given.
 
-        Each observation is embedded once, then the network runs over the
-        n_x * n_grid rows in blocks of `ROW_BLOCK`, so its hidden
-        activations stay the same size whatever the grid.
+        Each observation is embedded once, then repeated over each slice of
+        `ROW_BLOCK` points in turn, so the network's hidden activations stay
+        the same size whatever the grid; `_grid_rows` gives a slice's graph.
         """
         grid = _rows(layout.points, self.dim_theta, "grid")
         emb = self.embed(xs)
-        g = grid.shape[0]
-        out = _grid_out(out, emb.shape[0], g)
-        # flat row r pairs grid row r % g with embedding r // g
-        flat = out.reshape(-1)
-        for r in range(0, flat.size, ROW_BLOCK):
-            rows = np.arange(r, min(r + ROW_BLOCK, flat.size))
-            flat[r:r + rows.size] = self.log_density_from_embedding(
-                grid[rows % g], emb[rows // g])
+        out = _grid_out(out, len(emb), len(grid))
+        with ad.no_grad():
+            for row, e in zip(out, emb):
+                e = Value(e[None])
+                graph = self._grid_rows(layout, e)
+                for lo in range(0, len(grid), ROW_BLOCK):
+                    theta = grid[lo:lo + ROW_BLOCK]
+                    row[lo:lo + len(theta)] = graph(
+                        Value(theta), ad.repeat_rows(e, len(theta)),
+                        np.arange(lo, lo + len(theta))).data[:, 0]
         return out
+
+    def _grid_rows(self, layout, emb):
+        """The graph of one observation's grid slices, a function of (points,
+        `emb` (1, e) repeated over them, their row numbers in the layout)."""
+        return lambda theta, x_emb, rows: self.log_density_graph(theta, x_emb)
 
 
 class NreModel(NetworkPosterior):
@@ -359,18 +370,6 @@ class NpeFlow(NetworkPosterior):
         z = concat(halves, axis=1)
         return z if self._order is None else z[:, self._order]
 
-    def _invert_block(self, net, cond, moved, x_emb, scale_shift=None):
-        """One block backwards: (the moved half before it, its log-scale row sums).
-
-        `scale_shift` is the block's (s, shift) when the caller has it;
-        otherwise the block's network computes it from `cond` and `x_emb`.
-        A method of its own so that the block's scale and shift are freed
-        before the next block's network runs; on 512^2 grid rows per pair
-        that lowers the peak memory of a flow's grid-HPDR audit by ~20 MB.
-        """
-        s, shift = scale_shift or self._scale_shift(net, cond, x_emb)
-        return (moved - shift) * (-s).exp(), s.sum(axis=1, keepdims=True)
-
     def _pull_back(self, theta, x_emb, first=None):
         """Invert the flow: theta -> (base point z, inverse log-determinant).
 
@@ -380,10 +379,10 @@ class NpeFlow(NetworkPosterior):
         halves = [theta[:, 0::2], theta[:, 1::2]]
         logdet = Value(np.zeros((theta.data.shape[0], 1)))
         for parity, net in reversed(self.coupling):
-            halves[1 - parity], log_scale = self._invert_block(
-                net, halves[parity], halves[1 - parity], x_emb, first)
+            s, shift = first or self._scale_shift(net, halves[parity], x_emb)
             first = None
-            logdet = logdet - log_scale
+            halves[1 - parity] = (halves[1 - parity] - shift) * (-s).exp()
+            logdet = logdet - s.sum(axis=1, keepdims=True)
         return self._merge(halves), logdet
 
     def _push_forward(self, z, x_emb):
@@ -404,25 +403,19 @@ class NpeFlow(NetworkPosterior):
             raise FloatingPointError("non-finite value in flow inverse pass")
         return base + logdet
 
-    def log_density_grid(self, layout, xs, out=None):
-        """(n_x, len(layout)) log densities of the layout's points, written
-        into `out` when one is given.
+    def _grid_rows(self, layout, emb):
+        """The graph of one observation's grid slices.
 
-        The grid runs in blocks of `ROW_BLOCK` rows, each block for every
-        observation in turn, and each observation is embedded once. The
-        first inverse block conditions on one half of theta only: grid
+        The first inverse block conditions on one half of theta only: grid
         column c, whose values are `layout.axes[c]`, for 2-D theta, nothing
         for 1-D. Its network therefore runs once per observation, on that
-        axis, and its s and shift are gathered onto each block's rows; the
+        axis, and its s and shift are gathered onto each slice's rows; the
         other blocks and the base density run on all rows. A row equals
         paired `log_density` bit for bit. Beyond two dimensions the halves
-        have several columns and the paired-row surface is used.
+        have several columns and every block runs on all rows.
         """
         if self.dim_theta > 2:
-            return super().log_density_grid(layout, xs, out)
-        grid = _rows(layout.points, self.dim_theta, "grid")
-        emb = self.embed(xs)
-        out = _grid_out(out, emb.shape[0], len(grid))
+            return super()._grid_rows(layout, emb)
         parity, net = self.coupling[-1]
         r = layout.resolution
         # column `parity` (2-D) or no column (1-D); numpy's matmul sends a
@@ -430,24 +423,17 @@ class NpeFlow(NetworkPosterior):
         # last bit, so the network sees at least two rows
         cond = layout.axes[parity][:, None] if self.dim_theta == 2 else np.empty((1, 0))
         cond = np.resize(cond, (max(len(cond), 2), cond.shape[1]))
-        with ad.no_grad():
-            firsts = [self._scale_shift(net, Value(cond),
-                                        ad.repeat_rows(Value(e[None]), len(cond)))
-                      for e in emb]
-            for lo in range(0, len(grid), ROW_BLOCK):
-                theta = grid[lo:lo + ROW_BLOCK]
-                rows = np.arange(lo, lo + len(theta))
-                # in ij order row i holds axis values (i // r, i % r)
-                if self.dim_theta == 1:
-                    index = np.zeros_like(rows)
-                else:
-                    index = rows // r if parity == 0 else rows % r
-                for i, (s, shift) in enumerate(firsts):
-                    out[i, lo:lo + len(theta)] = self.log_density_graph(
-                        Value(theta), ad.repeat_rows(Value(emb[i:i + 1]), len(theta)),
-                        (ad.gather_rows(s, index), ad.gather_rows(shift, index))
-                    ).data[:, 0]
-        return out
+        s, shift = self._scale_shift(net, Value(cond), ad.repeat_rows(emb, len(cond)))
+
+        def graph(theta, x_emb, rows):
+            # in ij order row i holds axis values (i // r, i % r)
+            if self.dim_theta == 1:
+                index = np.zeros_like(rows)
+            else:
+                index = rows // r if parity == 0 else rows % r
+            return self.log_density_graph(
+                theta, x_emb, (ad.gather_rows(s, index), ad.gather_rows(shift, index)))
+        return graph
 
     def sample_batch(self, x, rng, count):
         """(n, count, dim_theta) draws, one set per observation row."""
@@ -460,7 +446,7 @@ class NpeFlow(NetworkPosterior):
         return flat.reshape(n, count, self.dim_theta)
 
 
-class GaussianLinearPosterior:
+class GaussianLinearPosterior(Posterior):
     """Conjugate posterior for x = theta + noise under a standard normal prior.
 
     Per dimension: N(x / (1 + sigma^2), sigma^2 / (1 + sigma^2)), optionally
@@ -473,20 +459,14 @@ class GaussianLinearPosterior:
 
     def __init__(self, noise_sigma, dim, scale_factor=1.0):
         self.noise_sigma = noise_sigma
-        self.dim_theta = dim
+        self.dim_theta = self.dim_x = dim
         self.coef = 1.0 / (1.0 + noise_sigma ** 2)
         self.std = math.sqrt(noise_sigma ** 2 / (1.0 + noise_sigma ** 2)) * scale_factor
 
-    def log_density(self, theta, x):
-        theta = _rows(theta, self.dim_theta, "theta")
-        x = _rows(x, self.dim_theta, "x")
-        return self._finish(sum_sq_scaled(theta, self.coef * x, self.std))
-
     def log_density_sets(self, thetas, xs):
         """(n, k) log densities of n sets of k parameters, set i under xs[i];
-        each observation's mean broadcasts over its set, in `log_density`'s
-        operations."""
-        thetas, xs = _point_sets(thetas, xs, self.dim_theta, self.dim_theta)
+        each observation's mean broadcasts over its set."""
+        thetas, xs = _point_sets(thetas, xs, self.dim_theta, self.dim_x)
         return self._finish(sum_sq_scaled(thetas, self.coef * xs[:, None], self.std))
 
     def log_density_grid(self, layout, xs, out=None):
@@ -500,7 +480,7 @@ class GaussianLinearPosterior:
         (`layout.axes`) and the terms are broadcast-added into `out`.
         """
         _rows(layout.points, self.dim_theta, "grid")
-        xs = _rows(xs, self.dim_theta, "xs")
+        xs = _rows(xs, self.dim_x, "xs")
         n, r, dim = xs.shape[0], layout.resolution, self.dim_theta
         out = _grid_out(out, n, len(layout))
         # out[i] seen as (r, ..., r): axis d's term varies along index d only

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (LOG_2PI, GaussianLinearPosterior, Prior, _point_sets,
-                         _rows, sum_sq_scaled)
+from .estimators import (LOG_2PI, GaussianLinearPosterior, Posterior, Prior,
+                         _point_sets, _rows, sum_sq_scaled)
 
 FILE_MAGIC = b"SBID"
 FILE_VERSION = 1
@@ -221,7 +221,7 @@ def analytic_posterior(problem, scale_factor=1.0):
                                    scale_factor=scale_factor)
 
 
-class LikelihoodPosterior:
+class LikelihoodPosterior(Posterior):
     """Exact posterior of any problem up to a constant per x: prior x likelihood.
 
     The log density is log p(theta) + log p(x | theta), -inf off a uniform
@@ -235,6 +235,7 @@ class LikelihoodPosterior:
     def __init__(self, problem):
         self.problem = problem
         self.dim_theta = problem.dim_theta
+        self.dim_x = problem.dim_x
         self._grid = None
 
     def _log_joint(self, log_prior, means, xs, out=None):
@@ -251,17 +252,11 @@ class LikelihoodPosterior:
         sq -= p.dim_x * (np.log(p.noise_sigma) + 0.5 * LOG_2PI)
         return sq
 
-    def log_density(self, theta, x):
-        """Log joint density of paired (theta, x) rows."""
-        theta = _rows(theta, self.dim_theta, "theta")
-        x = _rows(x, self.problem.dim_x, "x")
-        return self.log_density_sets(theta[:, None], x)[:, 0]
-
     def log_density_sets(self, thetas, xs):
         """(n, k) log joint densities of n sets of k parameters, set i under
         xs[i]; each observation broadcasts over its set's simulator means."""
         p = self.problem
-        thetas, xs = _point_sets(thetas, xs, self.dim_theta, p.dim_x)
+        thetas, xs = _point_sets(thetas, xs, self.dim_theta, self.dim_x)
         n, k, d = thetas.shape
         rows = thetas.reshape(-1, d)
         return self._log_joint(p.prior.log_density(rows).reshape(n, k),
@@ -281,7 +276,7 @@ class LikelihoodPosterior:
             self._grid = (layout, self.problem.prior.log_density(rows)[None, :],
                           self.problem.mean_fn(rows)[None])
         _, log_prior, means = self._grid
-        xs = _rows(xs, self.problem.dim_x, "xs")
+        xs = _rows(xs, self.dim_x, "xs")
         return self._log_joint(log_prior, means, xs[:, None, :], out)
 
 

@@ -214,7 +214,7 @@ def train_step(model, opt, thetas, xs, reg, clip_norm, rngs, prior,
         total = base
         rval, degenerate = 0.0, 0
         if reg is not None:
-            rloss, rbatch = covreg.regularizer(thetas, xs, reg, prior, (draws, lp))
+            rloss, rbatch = covreg.regularizer(xs, reg, prior, (draws, lp))
             total = base + rloss * reg.weight
             rval, degenerate = float(rloss.data[0]), rbatch.degenerate_count
         tval = float(total.data[0])

@@ -175,13 +175,11 @@ def test_criterion_06_gradient_integrity():
     proposal = covreg.PriorProposal(problem.prior)
     draws = proposal.sample_batch(ds.xs, np.random.default_rng(9), L)
     flat = draws.reshape(-1, 2)
-    log_prop = proposal.log_density_rows(flat, ds.xs).reshape(6, L)
+    log_prop = proposal.log_density_rows(draws, ds.xs)
 
     def densities():
-        emb = flow.embed(ds.xs)
-        lps = flow.log_density_from_embedding(ds.thetas, emb).reshape(6, 1)
-        lpd = flow.log_density_from_embedding(
-            flat, np.repeat(emb, L, axis=0)).reshape(6, L)
+        lps = flow.log_density(ds.thetas, ds.xs).reshape(6, 1)
+        lpd = flow.log_density_sets(draws, ds.xs)
         return lps, lpd
 
     emb_v = flow.embed_graph(Value(ds.xs))

@@ -78,7 +78,7 @@ _WRAPPED_METHODS = [
 
 def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
     before = _calsbi_bindings()
-    # the prior proposal owns its density rows, as NpeFlow owns its grid pass
+    # the prior proposal owns its density rows, as NpeFlow owns its grid rows
     prior_rows = vars(covreg.PriorProposal)["log_density_rows"]
     rec = spans.Recorder()
     with _installed(rec) as state:
@@ -96,8 +96,8 @@ def test_span_install_wraps_the_named_entry_points_and_uninstall_restores():
         ds = simulate_dataset(problem, 8, seed=0)
         block = rank_block(analytic_posterior(problem), ds.thetas, ds.xs, 4,
                            covreg.PriorProposal(problem.prior), np.random.default_rng(0))
-        covreg.regularizer(ds.thetas, ds.xs, covreg.RegConfig(num_samples=4),
-                           problem.prior, block)
+        covreg.regularizer(ds.xs, covreg.RegConfig(num_samples=4), problem.prior,
+                           block)
     after = state["after"]
     assert {"covreg.regularizer", "covreg.rank_statistics", "covreg.proposal",
             "covreg.rank_core", "covreg.sort_loss"} <= set(rec.names)
@@ -185,13 +185,13 @@ def test_traced_flow_grid_audit_embeds_each_observation_once():
 def test_traced_pooled_rank_audit_counts_its_rows_and_keeps_the_flow_grid_pass(
         monkeypatch):
     # the rank path runs in an array pool; the spans still read every chunk's
-    # pairs and density rows, and NpeFlow's own grid pass survives uninstall.
+    # pairs and density rows, and NpeFlow's own grid rows survive uninstall.
     # One worker: the recorder keeps one span stack for all threads.
     monkeypatch.setattr(diagnostics, "_rank_workers", lambda chunks: 1)
     problem = get_problem("nonlinear-2d")
     ds = simulate_dataset(problem, 10, seed=0)
     flow = NpeFlow(problem.dim_theta, problem.dim_x, last_scale=0.5)
-    grid_pass = vars(NpeFlow)["log_density_grid"]
+    grid_rows = vars(NpeFlow)["_grid_rows"]
     rec = spans.Recorder()
     with _installed(rec) as state:
         diagnostics.rank_statistic_sample(flow, ds.thetas, ds.xs, 64,
@@ -200,8 +200,8 @@ def test_traced_pooled_rank_audit_counts_its_rows_and_keeps_the_flow_grid_pass(
     counts = spans.summarize(rec, "diagnostics.rank_sample")["counts"]
     assert (counts["rank_pairs"], counts["rank_rows"], counts["rank_calls"]) == (10, 10, 3)
     assert counts["density_rows"] == 10 * (64 + 1)
-    assert state["after"][("calsbi.estimators", "NpeFlow", "log_density_grid")] is grid_pass
-    assert vars(NpeFlow)["log_density_grid"] is grid_pass
+    assert state["after"][("calsbi.estimators", "NpeFlow", "_grid_rows")] is grid_rows
+    assert vars(NpeFlow)["_grid_rows"] is grid_rows
 
 
 def test_cli_helpers_the_benchmark_job_calls_exist(tmp_path):

@@ -402,6 +402,18 @@ def test_demo_regions_shrink_with_level(tmp_path):
     assert total_length(out_lo / "segments.csv") < total_length(out_hi / "segments.csv")
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "expected non-negative integer"),
+    (["--level", "1.5"], "level must lie strictly inside (0, 1)"),
+], ids=["seed-negative", "level-above-one"])
+def test_demo_bad_flags_exit_two_before_any_output(tmp_path, capsys, flags, message):
+    out = tmp_path / "demo"
+    assert run(["demo-mixture", "--out-dir", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert not out.exists()
+
+
 def test_config_file_provides_defaults_flags_win(data_file, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs=1\nbatch=64\nmethod=npe\nreg=none\n")

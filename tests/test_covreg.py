@@ -79,7 +79,7 @@ def test_degenerate_weights_yield_zero_and_are_flagged():
     prop = covreg.PriorProposal(Prior.uniform_box([-1.0], [1.0]))
     pairs = np.zeros((4, 1)), np.zeros((4, 1))
     block = rank_block(VanishingDensity(), *pairs, 8, prop, np.random.default_rng(0))
-    batch = rank_statistics(*pairs, 8, prop, block)
+    batch = rank_statistics(pairs[1], prop, block)
     np.testing.assert_array_equal(batch.values.data[:, 0], 0.0)
     assert batch.degenerate_count == 4
 
@@ -90,7 +90,7 @@ def test_alpha_always_in_unit_interval():
     ds = simulate_dataset(problem, 200, seed=11)
     proposal = covreg.PriorProposal(problem.prior)
     block = rank_block(oracle, ds.thetas, ds.xs, 8, proposal, np.random.default_rng(1))
-    batch = rank_statistics(ds.thetas, ds.xs, 8, proposal, block)
+    batch = rank_statistics(ds.xs, proposal, block)
     a = batch.values.data[:, 0]
     assert np.all((a >= 0.0) & (a <= 1.0))
 
@@ -138,8 +138,8 @@ def test_forward_value_independent_of_temperature():
     ds = simulate_dataset(problem, 64, seed=3)
     proposal = covreg.PriorProposal(problem.prior)
     block = rank_block(oracle, ds.thetas, ds.xs, 16, proposal, np.random.default_rng(7))
-    a1 = rank_statistics(ds.thetas, ds.xs, 16, proposal, block, temperature=1.0)
-    a100 = rank_statistics(ds.thetas, ds.xs, 16, proposal, block, temperature=100.0)
+    a1 = rank_statistics(ds.xs, proposal, block, temperature=1.0)
+    a100 = rank_statistics(ds.xs, proposal, block, temperature=100.0)
     np.testing.assert_array_equal(a1.values.data, a100.values.data)
 
 
@@ -185,12 +185,15 @@ def test_density_proposal_equals_the_density_on_repeated_rows():
                    last_scale=0.3)
     for density in (flow, analytic_posterior(problem)):
         proposal = covreg.DensityProposal(density)
-        flat = proposal.sample_batch(ds.xs, np.random.default_rng(4), 8).reshape(-1, 2)
+        draws = proposal.sample_batch(ds.xs, np.random.default_rng(4), 8)
         np.testing.assert_array_equal(
-            proposal.log_density_rows(flat, ds.xs),
-            density.log_density(flat, np.repeat(ds.xs, 8, axis=0)))
-    with pytest.raises(ValueError, match="evenly"):
-        proposal.log_density_rows(flat[:-1], ds.xs)
+            proposal.log_density_rows(draws, ds.xs),
+            density.log_density(draws.reshape(-1, 2),
+                                np.repeat(ds.xs, 8, axis=0)).reshape(16, 8))
+    # draws for 15 observations, or flat rows, do not pair with 16 observations
+    for bad in (draws[:-1], draws.reshape(-1, 2)):
+        with pytest.raises(ValueError, match="must have shape"):
+            proposal.log_density_rows(bad, ds.xs)
 
 
 def test_prior_proposal_density_is_the_prior_density():
@@ -198,10 +201,11 @@ def test_prior_proposal_density_is_the_prior_density():
     thetas = np.random.default_rng(5).uniform(-1.5, 2.5, (24, 2))
     expected = prior.log_density(thetas)
     assert np.isneginf(expected).any() and np.isfinite(expected).any()
-    got = covreg.PriorProposal(prior).log_density_rows(thetas, np.zeros((6, 3)))
-    np.testing.assert_array_equal(got, expected)
-    with pytest.raises(ValueError, match="evenly"):
-        covreg.PriorProposal(prior).log_density_rows(thetas, np.zeros((5, 3)))
+    proposal = covreg.PriorProposal(prior)
+    got = proposal.log_density_rows(thetas.reshape(6, 4, 2), np.zeros((6, 3)))
+    np.testing.assert_array_equal(got, expected.reshape(6, 4))
+    with pytest.raises(ValueError):     # flat rows are not (n, L, d) draws
+        proposal.log_density_rows(thetas, np.zeros((6, 3)))
 
 
 def test_prior_proposal_is_the_prior_posterior():
@@ -212,9 +216,8 @@ def test_prior_proposal_is_the_prior_posterior():
     draws = proposal.sample_batch(xs, np.random.default_rng(7), 9)
     np.testing.assert_array_equal(
         draws, reference.sample_batch(xs, np.random.default_rng(7), 9))
-    flat = draws.reshape(-1, 2)
-    np.testing.assert_array_equal(proposal.log_density_rows(flat, xs),
-                                  reference.log_density_rows(flat, xs))
+    np.testing.assert_array_equal(proposal.log_density_rows(draws, xs),
+                                  reference.log_density_rows(draws, xs))
 
 
 # -- straight-through indicator ---------------------------------------------------
@@ -399,7 +402,7 @@ def test_oracle_posterior_regularizer_is_tiny():
     with ad.no_grad():
         block = rank_block(oracle, ds.thetas, ds.xs, cfg.num_samples,
                            covreg.PriorProposal(problem.prior), np.random.default_rng(0))
-        loss, batch = regularizer(ds.thetas, ds.xs, cfg, problem.prior, block)
+        loss, batch = regularizer(ds.xs, cfg, problem.prior, block)
     assert float(loss.data[0]) <= 0.002
     assert batch.degenerate_count == 0
 
@@ -412,7 +415,7 @@ def test_prior_as_posterior_regularizer_same_scale():
         block = rank_block(PriorAsPosterior(problem.prior), ds.thetas, ds.xs,
                            cfg.num_samples, covreg.PriorProposal(problem.prior),
                            np.random.default_rng(0))
-        loss, _ = regularizer(ds.thetas, ds.xs, cfg, problem.prior, block)
+        loss, _ = regularizer(ds.xs, cfg, problem.prior, block)
     assert float(loss.data[0]) <= 0.002
 
 
@@ -424,7 +427,7 @@ def test_regularizer_requires_two_pairs():
     block = rank_block(oracle, *pair, cfg.num_samples,
                        covreg.PriorProposal(problem.prior), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        regularizer(*pair, cfg, problem.prior, block)
+        regularizer(pair[1], cfg, problem.prior, block)
 
 
 class ScaleModel:
@@ -460,7 +463,7 @@ def test_conservative_gradient_inflates_underdispersed_scale():
     cfg = RegConfig(mode="conservative", loss_form="sorting", num_samples=64)
     block = rank_block(model, ds.thetas, ds.xs, cfg.num_samples,
                        covreg.PriorProposal(problem.prior), np.random.default_rng(2))
-    loss, _ = regularizer(ds.thetas, ds.xs, cfg, problem.prior, block)
+    loss, _ = regularizer(ds.xs, cfg, problem.prior, block)
     loss.backward()
     grad = model.log_scale.grad[0, 0]
     assert grad < 0.0  # a descent step increases the scale

@@ -318,9 +318,9 @@ def _two_call_rank_statistics(posterior, thetas, xs, num_samples, proposal, rng,
         for lo in range(0, len(thetas), chunk):
             t, x = thetas[lo:lo + chunk], xs[lo:lo + chunk]
             lp_star = paired_log_density(posterior, t, x)
-            draws = proposal.sample_batch(x, rng, num_samples).reshape(-1, t.shape[1])
-            log_prop = proposal.log_density_rows(draws, x).reshape(len(t), -1)
-            lp_draws = paired_log_density(posterior, draws, x,
+            draws = proposal.sample_batch(x, rng, num_samples)
+            log_prop = proposal.log_density_rows(draws, x)
+            lp_draws = paired_log_density(posterior, draws.reshape(-1, t.shape[1]), x,
                                           num_samples).reshape(len(t), -1)
             out.append(covreg.rank_statistic_core(lp_star, lp_draws, log_prop)[0].data[:, 0])
     return np.concatenate(out)

@@ -343,26 +343,56 @@ def test_point_sets_of_the_wrong_shape_are_rejected():
         assert posterior.log_density_sets(sets, xs).shape == (3, 4)
 
 
+def _test_layout(dim):
+    """A 2,500- to 4,096-point layout over [-3, 3]^dim, for 1-3 dimensions."""
+    side = np.linspace(-3.0, 3.0, {1: 2500, 2: 64, 3: 16}[dim])
+    return GridLayout([(-3.0, 3.0)] * dim, side.size, [side] * dim)
+
+
+def _assert_grid_rows_are_paired_rows(model, layout, xs, rows):
+    grid = layout.points
+    for x, row in zip(xs, rows):
+        np.testing.assert_array_equal(
+            row, model.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
+
+
 @pytest.mark.parametrize("dim,blocks", itertools.product([1, 2, 3], [2, 3]))
 def test_flow_grid_rows_equal_paired_rows_bit_for_bit(monkeypatch, dim, blocks):
     r = np.random.default_rng(50 + dim * 10 + blocks)
     flow = NpeFlow(dim_theta=dim, dim_x=3, rng=r, last_scale=0.5, blocks=blocks)
-    side = np.linspace(-3.0, 3.0, {1: 2500, 2: 64, 3: 16}[dim])
-    layout = GridLayout([(-3.0, 3.0)] * dim, side.size, [side] * dim)
-    grid = layout.points
+    layout = _test_layout(dim)
     xs = r.standard_normal((3, 3))
     # 1,000-row blocks split the 2,500- to 4,096-row grid unevenly
     monkeypatch.setattr(estimators, "ROW_BLOCK", 1000)
     counter = RowCounter(flow)
-    buf = np.full((4, len(grid)), np.nan)
+    buf = np.full((4, len(layout)), np.nan)
     rows = flow.log_density_grid(layout, xs, out=buf[:3])
     assert rows.base is buf and counter.embed_rows == 3
-    for x, row in zip(xs, rows):
-        np.testing.assert_array_equal(
-            row, flow.log_density(grid, np.repeat(x[None], len(grid), axis=0)))
+    _assert_grid_rows_are_paired_rows(flow, layout, xs, rows)
     # grid passes write through reshapes of `out`
     with pytest.raises(ValueError, match="C-contiguous"):
-        flow.log_density_grid(layout, xs, out=np.empty((len(grid), 3)).T)
+        flow.log_density_grid(layout, xs, out=np.empty((len(layout), 3)).T)
+
+
+@pytest.mark.parametrize("dim,prior_kind", itertools.product([1, 2, 3], ["box", "gaussian"]))
+def test_nre_grid_rows_equal_paired_rows_bit_for_bit(monkeypatch, dim, prior_kind):
+    r = np.random.default_rng(70 + dim)
+    if prior_kind == "box":     # inside the layout, so some rows are -inf
+        prior = Prior.uniform_box(r.uniform(-2.5, -1.5, dim), r.uniform(1.5, 2.5, dim))
+    else:
+        prior = Prior.gaussian(r.uniform(-1.0, 1.0, dim), r.uniform(0.3, 3.0, dim))
+    model = NreModel(prior, dim_x=3, rng=r)
+    layout = _test_layout(dim)
+    xs = r.standard_normal((3, 3))
+    counter = RowCounter(model)
+    for row_block in (estimators.ROW_BLOCK, 1000):
+        monkeypatch.setattr(estimators, "ROW_BLOCK", row_block)
+        counter.reset()
+        rows = model.log_density_grid(layout, xs)
+        assert counter.embed_rows == 3
+        _assert_grid_rows_are_paired_rows(model, layout, xs, rows)
+        assert np.isfinite(rows).any()
+        assert np.isneginf(rows).any() == (prior_kind == "box")
 
 
 class _CountedNet:
@@ -408,8 +438,7 @@ def test_flow_density_integrates_to_one_on_grid(rng):
     step = span[1] - span[0]
     a, b = np.meshgrid(span, span, indexing="ij")
     grid = np.stack([a.ravel(), b.ravel()], axis=1)
-    emb = np.repeat(flow.embed(x), grid.shape[0], axis=0)
-    ld = flow.log_density_from_embedding(grid, emb)
+    ld = flow.log_density_sets(grid[None], x)[0]
     total = np.sum(np.exp(ld)) * step * step
     assert total == pytest.approx(1.0, abs=1e-2)
 
@@ -419,8 +448,7 @@ def test_one_dimensional_flow_density_and_sampling(rng):
     x = np.array([[0.7]])
     span = np.linspace(-40, 40, 120_001)
     step = span[1] - span[0]
-    emb = np.repeat(flow.embed(x), span.size, axis=0)
-    ld = flow.log_density_from_embedding(span.reshape(-1, 1), emb)
+    ld = flow.log_density_sets(span.reshape(1, -1, 1), x)[0]
     assert np.sum(np.exp(ld)) * step == pytest.approx(1.0, abs=1e-3)
     draws = flow.sample_batch(x, np.random.default_rng(5), 50_000)[0]
     # draws should follow the same affine-of-normal law the density describes
@@ -436,8 +464,9 @@ def test_embedded_evaluation_is_bit_identical_to_direct(rng):
     theta = rng.standard_normal((16, 2))
     x = rng.standard_normal((16, 2))
     direct = flow.log_density(theta, x)
-    embedded = flow.log_density_from_embedding(theta, flow.embed(x))
-    np.testing.assert_array_equal(direct, embedded)
+    with ad.no_grad():
+        embedded = flow.log_density_graph(Value(theta), Value(flow.embed(x))).data
+    np.testing.assert_array_equal(direct, embedded[:, 0])
 
 
 def test_embedding_reuse_counts_one_embedding_for_many_evaluations(rng):
@@ -447,9 +476,10 @@ def test_embedding_reuse_counts_one_embedding_for_many_evaluations(rng):
     theta_star = rng.standard_normal((1, 2))
     draws = rng.standard_normal((sample_count, 2))
     counter = RowCounter(flow)
-    emb = flow.embed(x)
-    flow.log_density_from_embedding(theta_star, emb)
-    flow.log_density_from_embedding(draws, np.repeat(emb, sample_count, axis=0))
+    emb = Value(flow.embed(x))
+    with ad.no_grad():
+        flow.log_density_graph(Value(theta_star), emb)
+        flow.log_density_graph(Value(draws), ad.repeat_rows(emb, sample_count))
     assert counter.embed_rows == 1
     assert counter.embed_calls == 1
     assert counter.density_rows == sample_count + 1
@@ -463,7 +493,8 @@ def test_reuse_strictly_fewer_embedding_rows_than_per_evaluation_embedding(rng):
     flow.log_density(theta, x)  # embeds every row
     without_reuse = counter.embed_rows
     counter.reset()
-    flow.log_density_from_embedding(theta, np.repeat(flow.embed(x[:1]), 17, axis=0))
+    with ad.no_grad():
+        flow.log_density_graph(Value(theta), ad.repeat_rows(Value(flow.embed(x[:1])), 17))
     with_reuse = counter.embed_rows
     assert with_reuse < without_reuse
     assert with_reuse == 1 and without_reuse == 17

@@ -168,8 +168,8 @@ def test_clip_norm_not_above_zero_rejected_before_the_model_is_built(
 
 
 def test_degenerate_heavy_batches_surface_warning(gl_dataset, monkeypatch):
-    def fake_regularizer(thetas, xs, config, prior, block):
-        n = thetas.shape[0]
+    def fake_regularizer(xs, config, prior, block):
+        n = xs.shape[0]
         batch = covreg.RankStatisticBatch(
             values=Value(np.zeros((n, 1))), degenerate=np.ones(n, dtype=bool))
         return Value(np.zeros(1)), batch
@@ -286,7 +286,7 @@ def test_shared_forward_step_gradients_match_separate_calls(method):
     base, _ = trainer.base_loss(model, ds.thetas, ds.xs, np.random.default_rng(0))
     block = rank_block(model, ds.thetas, ds.xs, reg.num_samples,
                        covreg.PriorProposal(problem.prior), np.random.default_rng(1))
-    rloss, _ = covreg.regularizer(ds.thetas, ds.xs, reg, problem.prior, block)
+    rloss, _ = covreg.regularizer(ds.xs, reg, problem.prior, block)
     (base + rloss * reg.weight).backward()
     expected = {k: p.grad for k, p in params.items()}
     opt = AdamW(params)
